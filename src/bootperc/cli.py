@@ -22,7 +22,7 @@ from .extremal import (
     min_percolating_size,
     min_percolation_time,
 )
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, cell_at
 from .witness import StripContext, build_witness
 
 BUDGET_ENV_VAR = "BOOTPERC_BUDGET"
@@ -103,9 +103,16 @@ def _load_initial(args: argparse.Namespace) -> CellSet:
 
 
 def _stream_snapshots(record: RunRecord, every: int) -> None:
-    for step in range(0, record.T + 1, every):
-        cells = [list(c) for c in record.newly_infected(step)]
-        _emit(json.dumps({"step": step, "cells": cells}))
+    # one pass over the times groups the cells of every emitted step, in
+    # ascending index order as newly_infected would list them
+    by_step: list[list[int]] = [[] for _ in range(record.T // every + 1)]
+    for i, t in enumerate(record.times):
+        if t >= 0 and t % every == 0:
+            by_step[t // every].append(i)
+    d, n = record.spec.d, record.spec.n
+    for k, indices in enumerate(by_step):
+        cells = [list(cell_at(i, d, n)) for i in indices]
+        _emit(json.dumps({"step": k * every, "cells": cells}))
     _emit(json.dumps({"T": record.T, "percolates": record.percolates}))
 
 

@@ -9,6 +9,8 @@ d-neighbour rule, which makes it the standard extremal seed set.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .dynamics import CellSet
 from .lattice import Cell, iter_level_cells
 
@@ -69,18 +71,17 @@ def boundary(d: int, n: int) -> CellSet:
     if d < 1 or n < 1:
         raise ValueError(f"invalid shape d={d}, n={n}")
     size = n**d
-    buf = bytearray((size + 7) // 8)
-    stride = size
-    for _ in range(d):
-        stride //= n
-        block = stride * n
-        for base in range(0, size, block):
-            for offset in range(stride):
-                low = base + offset  # coordinate == 1
-                high = base + (n - 1) * stride + offset  # coordinate == n
-                buf[low >> 3] |= 1 << (low & 7)
-                buf[high >> 3] |= 1 << (high & 7)
-    return CellSet(d, n, int.from_bytes(bytes(buf), "little"))
+
+    def slab_indices() -> Iterator[int]:
+        stride = size
+        for _ in range(d):
+            stride //= n
+            for base in range(0, size, stride * n):
+                for offset in range(stride):
+                    yield base + offset  # coordinate == 1
+                    yield base + (n - 1) * stride + offset  # coordinate == n
+
+    return CellSet.from_indices(d, n, slab_indices())
 
 
 def torus3_seed(n: int) -> CellSet:

@@ -3,9 +3,11 @@
 A run starts from an initial infected set; in each round every healthy cell
 with at least ``r`` infected neighbours becomes infected, all at once.
 Infected cells never heal, so the process stabilises after finitely many
-rounds.  ``run`` is the optimised frontier engine used everywhere;
-``run_naive`` rescans the whole lattice each round and exists so the two can
-be checked against each other bit for bit.
+rounds.  ``run`` is the frontier engine used everywhere: each round is one
+vectorised numpy pass over the neighbour-table rows of the cells infected
+in the round before, so its work is proportional to the cells it touches.
+``run_naive`` rescans the whole lattice each round in plain Python and
+exists so the two can be checked against each other bit for bit.
 
 The perimeter of a set counts lattice edges between a member cell and any
 non-member vertex of the infinite lattice Z^d, i.e. boundary cells also pay
@@ -18,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .lattice import Cell, LatticeSpec, cell_at, cell_index, neighbor_lists
+import numpy as np
+
+from .lattice import Cell, LatticeSpec, cell_at, cell_index, neighbor_lists, neighbor_table
 
 
 @dataclass(frozen=True)
@@ -63,12 +67,7 @@ class CellSet:
 
     @classmethod
     def from_cells(cls, d: int, n: int, cells: Iterable[Cell]) -> "CellSet":
-        size = n**d
-        buf = bytearray((size + 7) // 8)
-        for cell in cells:
-            i = cell_index(cell, d, n)
-            buf[i >> 3] |= 1 << (i & 7)
-        return cls(d, n, int.from_bytes(bytes(buf), "little"))
+        return cls.from_indices(d, n, (cell_index(cell, d, n) for cell in cells))
 
     @classmethod
     def from_text(cls, text: str, d: int, n: int) -> "CellSet":
@@ -183,12 +182,8 @@ class RunRecord:
         return None if t < 0 else t
 
     def closure(self) -> CellSet:
-        size = self.spec.size
-        buf = bytearray((size + 7) // 8)
-        for i, t in enumerate(self.times):
-            if t >= 0:
-                buf[i >> 3] |= 1 << (i & 7)
-        return CellSet(self.spec.d, self.spec.n, int.from_bytes(bytes(buf), "little"))
+        infected = (i for i, t in enumerate(self.times) if t >= 0)
+        return CellSet.from_indices(self.spec.d, self.spec.n, infected)
 
     def newly_infected(self, step: int) -> list[Cell]:
         """Cells whose infection round equals ``step`` (ascending index order)."""
@@ -216,21 +211,15 @@ class RunRecord:
         return out
 
 
+def _index_array(cells: CellSet) -> np.ndarray:
+    return np.fromiter(cells.indices(), dtype=np.int64, count=len(cells))
+
+
 def _check_compatible(spec: LatticeSpec, initial: CellSet) -> None:
     if (initial.d, initial.n) != (spec.d, spec.n):
         raise ValueError(
             f"initial set shape ({initial.d}, {initial.n}) does not match spec ({spec.d}, {spec.n})"
         )
-
-
-def _initial_perimeter(indices: list[int], nbrs: list[list[int]], times: list[int], twod: int) -> int:
-    # sum over members of (2d - infected neighbours); inner count totals 2*edges
-    inside = 0
-    for i in indices:
-        for j in nbrs[i]:
-            if times[j] == 0:
-                inside += 1
-    return twod * len(indices) - inside
 
 
 def run(
@@ -242,67 +231,56 @@ def run(
 ) -> RunRecord:
     """Run the process to stabilisation with the frontier engine.
 
-    Only healthy neighbours of the cells infected in the previous round are
-    candidates; a per-cell counter of infected neighbours makes each
-    infection O(2d) amortised.  Behaviour is identical to :func:`run_naive`.
+    Each round is one vectorised pass over the rows of :func:`neighbor_table`
+    for the cells infected in the previous round: their healthy neighbours
+    gain one infected-neighbour count each, and those whose count reaches
+    ``r`` make up the next frontier, in ascending index order.  The audit
+    counts and the perimeter step are read from the same arrays.  Behaviour
+    is identical to :func:`run_naive`.
     """
     _check_compatible(spec, initial)
     if record_trace and spec.topology != "grid":
         raise ValueError("perimeter trace is defined for the grid topology only")
-    nbrs = neighbor_lists(spec)
-    size = spec.size
-    r = spec.r
-    twod = 2 * spec.d
-    times = [-1] * size
-    batch = list(initial.indices())
-    for i in batch:
-        times[i] = 0
+    table = neighbor_table(spec)
+    size, r, twod = spec.size, spec.r, 2 * spec.d
+    # times[size] is read through the table's -1 entries: a missing neighbour
+    # looks infected at round 0, so it is never counted as healthy
+    times = np.full(size + 1, -1, dtype=np.int64)
+    times[size] = 0
+    batch = _index_array(initial)
+    times[batch] = 0
+    counts = np.zeros(size, dtype=np.int64)
+    trace = [perimeter(spec, initial)] if record_trace else None
+    events: list[AuditEvent] | None = [] if audit else None
     infected_count = len(batch)
 
-    counts = [0] * size
-    trace: list[int] | None = None
-    perim = 0
-    if record_trace:
-        perim = _initial_perimeter(batch, nbrs, times, twod)
-        trace = [perim]
-    events: list[AuditEvent] | None = [] if audit else None
-
     t = 0
-    while batch:
-        crossed: list[int] = []
-        for j in batch:
-            for i in nbrs[j]:
-                if times[i] < 0:
-                    c = counts[i] + 1
-                    counts[i] = c
-                    if c == r:
-                        crossed.append(i)
-        if not crossed:
+    while len(batch):
+        hits = table[batch].ravel()
+        hits = hits[times[hits] < 0]
+        candidates, gained = np.unique(hits, return_counts=True)
+        counts[candidates] += gained
+        crossed = candidates[counts[candidates] >= r]
+        if not len(crossed):
             break
-        crossed.sort()
         t += 1
+        times[crossed] = t
+        crossed_counts = counts[crossed]
         if events is not None:
-            for i in crossed:
-                events.append(AuditEvent(cell_at(i, spec.d, spec.n), t, counts[i]))
+            for i, c in zip(crossed.tolist(), crossed_counts.tolist()):
+                events.append(AuditEvent(cell_at(i, spec.d, spec.n), t, c))
         if trace is not None:
-            for i in crossed:
-                cnt = 0
-                for j in nbrs[i]:
-                    if times[j] >= 0:
-                        cnt += 1
-                perim += twod - 2 * cnt
-                times[i] = t
-            trace.append(perim)
-        else:
-            for i in crossed:
-                times[i] = t
+            # the new cells add 2d each, less both ends of every edge to an
+            # earlier cell (their counts) and to one another (inside)
+            inside = int(np.count_nonzero(times[table[crossed]] == t))
+            trace.append(trace[-1] + twod * len(crossed) - 2 * int(crossed_counts.sum()) - inside)
         infected_count += len(crossed)
         batch = crossed
 
     return RunRecord(
         spec=spec,
         initial=initial,
-        times=times,
+        times=times[:size].tolist(),
         T=t,
         percolates=infected_count == size,
         perimeter_trace=trace,
@@ -382,18 +360,16 @@ def closure(spec: LatticeSpec, initial: CellSet) -> CellSet:
 
 
 def perimeter(spec: LatticeSpec, cells: CellSet) -> int:
-    """Edge count between member cells and non-member Z^d vertices (grid only)."""
+    """Edge count between member cells and non-member Z^d vertices (grid only).
+
+    Every member pays 2d, less one for each table entry of its row that is a
+    member; a missing grid neighbour (-1) is never a member.
+    """
     if spec.topology != "grid":
         raise ValueError("perimeter is defined for the grid topology only")
     _check_compatible(spec, cells)
-    nbrs = neighbor_lists(spec)
-    data = cells.bits.to_bytes((spec.size + 7) // 8, "little")
-    twod = 2 * spec.d
-    total = 0
-    for i in cells.indices():
-        cnt = 0
-        for j in nbrs[i]:
-            if data[j >> 3] >> (j & 7) & 1:
-                cnt += 1
-        total += twod - cnt
-    return total
+    members = _index_array(cells)
+    is_member = np.zeros(spec.size + 1, dtype=bool)  # the -1 entries read the last slot
+    is_member[members] = True
+    inside = int(np.count_nonzero(is_member[neighbor_table(spec)[members]]))
+    return 2 * spec.d * len(members) - inside

@@ -25,6 +25,10 @@ Topology = Literal["grid", "torus"]
 # Hard ceiling on addressable cells; anything above is rejected outright.
 MAX_CELLS = 2**32
 
+# Entries kept by each per-lattice cache.  Callers work on one lattice at a
+# time and sweeps never revisit one, so an unbounded cache only holds memory.
+LATTICE_CACHE_SIZE = 4
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -148,7 +152,7 @@ def iter_level_cells(d: int, n: int, k: int) -> Iterator[Cell]:
     yield from rec((), d, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def neighbor_table(spec: LatticeSpec) -> np.ndarray:
     """(size, 2d) array of neighbour indices, -1 where a grid neighbour is missing.
 
@@ -174,13 +178,17 @@ def neighbor_table(spec: LatticeSpec) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def neighbor_lists(spec: LatticeSpec) -> list[list[int]]:
-    """Per-cell neighbour index lists (shared, do not mutate)."""
+    """Per-cell neighbour index lists (shared, do not mutate).
+
+    Serves only the reference engine ``run_naive`` and :func:`neighbor_masks`;
+    the frontier engine reads :func:`neighbor_table` directly.
+    """
     return [[x for x in row if x >= 0] for row in neighbor_table(spec).tolist()]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def neighbor_masks(spec: LatticeSpec) -> list[int]:
     """Per-cell neighbourhood bitmasks over linear indices (shared, do not mutate)."""
     masks = []

@@ -2,7 +2,7 @@ import json
 
 from bootperc.cli import main
 from bootperc.dynamics import run
-from bootperc.constructions import hyperplane_union
+from bootperc.constructions import diagonal, hyperplane_union
 from bootperc.lattice import LatticeSpec
 
 
@@ -91,15 +91,19 @@ def test_simulate_torus_trace_is_input_error(capsys):
 
 
 def test_simulate_snapshot_stream(capsys):
-    code, out, _ = invoke(
-        capsys, "simulate", "--d", "2", "--n", "5", "--construction", "diagonal2d",
-        "--snapshot", "every=2",
-    )
-    assert code == 0
-    lines = [json.loads(line) for line in out.splitlines()]
-    assert lines[0]["step"] == 0 and len(lines[0]["cells"]) == 5
-    assert [entry["step"] for entry in lines[:-1]] == [0, 2, 4]
-    assert lines[-1] == {"T": 4, "percolates": True}
+    record = run(LatticeSpec(2, 5), diagonal(5))
+    for every, steps in ((1, [0, 1, 2, 3, 4]), (2, [0, 2, 4]), (3, [0, 3])):
+        code, out, _ = invoke(
+            capsys, "simulate", "--d", "2", "--n", "5", "--construction", "diagonal2d",
+            "--snapshot", f"every={every}",
+        )
+        assert code == 0
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert lines[0]["step"] == 0 and len(lines[0]["cells"]) == 5
+        assert [entry["step"] for entry in lines[:-1]] == steps
+        for entry in lines[:-1]:
+            assert [tuple(c) for c in entry["cells"]] == record.newly_infected(entry["step"])
+        assert lines[-1] == {"T": 4, "percolates": True}
 
 
 def test_construct_text_and_json(capsys):

@@ -229,3 +229,30 @@ def test_engines_agree_on_threshold_one():
     a = run(spec, seed, record_trace=True)
     assert a == run_naive(spec, seed, record_trace=True)
     assert a.T == 4  # L1 eccentricity of the centre
+
+
+def _equivalence_cases():
+    for d in (4, 5):
+        for n in (1, 2, 3, 4):
+            for topology in ("grid", "torus") if n >= 3 else ("grid",):
+                for r in sorted({1, d, 2 * d}):
+                    for initial in ("empty", "full", "random"):
+                        yield d, n, topology, r, initial
+
+
+@pytest.mark.parametrize("d,n,topology,r,initial", list(_equivalence_cases()))
+def test_engines_agree_in_four_and_five_dimensions(d, n, topology, r, initial):
+    spec = LatticeSpec(d, n, topology, r)
+    if initial == "empty":
+        seed = CellSet.empty(d, n)
+    elif initial == "full":
+        seed = CellSet.full(d, n)
+    else:
+        # density r/(2d+1): sparse enough to leave rounds to run at every threshold
+        rng = random.Random(f"{d}-{n}-{topology}-{r}")
+        count = max(1, spec.size * r // (2 * d + 1))
+        seed = CellSet.from_indices(d, n, rng.sample(range(spec.size), count))
+    trace = topology == "grid"
+    assert run(spec, seed, audit=True, record_trace=trace) == run_naive(
+        spec, seed, audit=True, record_trace=trace
+    )

@@ -12,7 +12,7 @@ from bootperc.extremal import (
     min_percolation_time,
     symmetry_index_maps,
 )
-from bootperc.lattice import LatticeSpec
+from bootperc.lattice import LatticeSpec, neighbor_masks
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -52,7 +52,7 @@ def test_bitmask_closure_matches_engine():
         for _ in range(30):
             k = rng.randint(0, spec.size)
             seed = CellSet.from_indices(spec.d, spec.n, rng.sample(range(spec.size), k))
-            assert closure_bits(spec, seed.bits) == closure(spec, seed).bits
+            assert closure_bits(neighbor_masks(spec), seed.bits, spec.r) == closure(spec, seed).bits
 
 
 # -- min_percolating_size --------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from bootperc.extremal import symmetry_index_maps
 from bootperc.lattice import (
     LatticeSpec,
     cell_to_index,
@@ -8,6 +9,7 @@ from bootperc.lattice import (
     level_of,
     neighbor_lists,
     neighbor_masks,
+    neighbor_table,
     neighbors,
 )
 
@@ -151,3 +153,12 @@ def test_neighbor_masks_match_lists():
         for j in lists[i]:
             m |= 1 << j
         assert masks[i] == m
+
+
+def test_lattice_caches_stay_bounded():
+    for cached in (neighbor_table, neighbor_lists, neighbor_masks, symmetry_index_maps):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None
+        for n in range(1, maxsize + 3):
+            cached(LatticeSpec(2, n))
+        assert cached.cache_info().currsize <= maxsize
