@@ -2,30 +2,41 @@
 minimum percolation time over sets of a fixed size, and minimality checks.
 
 Candidates are enumerated in colexicographic order over the linear indices
-(ascending maximum element, then colex on the rest), which both fixes the
-returned witness deterministically and lets the work be partitioned across
-processes by maximum element without changing any result.  Every search is
-budgeted: instead of silently running forever, an infeasible request raises
-``BudgetExceededError`` up front.
+(ascending maximum element, then colex on the rest), which fixes the
+returned witness deterministically.  The enumeration is cut into chunks of
+at most ``_CHUNK`` candidates that follow each other in exact global colex
+order, so chunks can be tested in any process as long as their results are
+read back in order.  Every search is budgeted: instead of silently running
+forever, an infeasible request raises ``BudgetExceededError`` up front.
 
-The inner percolation tests run on integer bitmasks for speed; every
-returned witness is re-validated with an independent engine run before the
-result is handed back.
+A chunk is tested in one batch, transposed: row ``i`` of a ``uint64``
+array holds cell ``i``'s state in every candidate of the chunk, one bit per
+candidate, and one synchronous round of the rule is a handful of numpy
+operations over those rows.  Every returned witness is re-validated with an
+independent engine run before the result is handed back.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from math import comb
-from typing import Iterator
+from multiprocessing import get_context
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .dynamics import CellSet, run
-from .lattice import LATTICE_CACHE_SIZE, LatticeSpec, cell_at, cell_index, neighbor_masks
+from .lattice import LATTICE_CACHE_SIZE, LatticeSpec, cell_at, cell_index, neighbor_table
 
 DEFAULT_BUDGET = 10**8
+
+# Candidates tested in one batch; bounds the memory of a chunk, not an option.
+_CHUNK = 2**15
 
 
 class BudgetExceededError(RuntimeError):
@@ -90,50 +101,116 @@ def colex_combinations(n: int, k: int) -> Iterator[tuple[int, ...]]:
             return
 
 
-# -- fast bitmask percolation tests ----------------------------------------
+# -- colex chunks -------------------------------------------------------------
 
 
-def closure_bits(masks: list[int], seed_bits: int, r: int) -> int:
-    """Final infected set as a bitmask, given :func:`neighbor_masks` of the lattice.
+def _colex_block(t: int, j: int, suffix: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """All j-subsets of range(t) in colex order, each followed by ``suffix``,
+    as a (comb(t, j), j + len(suffix)) array of ``dtype``.
 
-    Order-free: infections are applied as soon as they are found, which
-    reaches the same closure as synchronous rounds in fewer sweeps.
+    colex(t', i) is the concatenation over m of (colex(m, i-1) + {m}), and
+    every colex(m, i-1) is a prefix of the block one column narrower.  So
+    each column is a gather of its level's top elements, through the row
+    maps of the levels above it.
     """
-    cur = seed_bits
-    healthy = [i for i in range(len(masks)) if not seed_bits >> i & 1]
-    while healthy:
-        rest = []
-        for i in healthy:
-            if (cur & masks[i]).bit_count() >= r:
-                cur |= 1 << i
+    levels = []
+    for i in range(1, j + 1):
+        tops = np.arange(i - 1, t - j + i, dtype=dtype)
+        counts = np.array([comb(int(m), i - 1) for m in tops])
+        starts = np.cumsum(counts) - counts
+        levels.append((np.repeat(tops, counts), np.arange(counts.sum()) - np.repeat(starts, counts)))
+    block = np.empty((j + len(suffix), comb(t, j)), dtype=dtype)
+    block[j:] = np.array(suffix, dtype=dtype)[:, None]
+    rows = np.arange(block.shape[1])
+    for i in range(j, 0, -1):
+        tops, prefix = levels[i - 1]
+        np.take(tops, rows, out=block[i - 1])
+        rows = prefix[rows]
+    return block.T
+
+
+def _colex_chunks(size: int, k: int) -> Iterator[np.ndarray]:
+    """(K, k) index arrays with K <= _CHUNK whose rows, in sequence, are
+    exactly ``colex_combinations(size, k)``.
+
+    Splits by colex(t, j) = colex(t-1, j) ++ (colex(t-1, j-1) + {t-1}) until
+    a part fits in one chunk; ``suffix`` holds the elements fixed on the way.
+    Entries use the smallest unsigned dtype that holds ``size - 1``, which
+    keeps chunks small in memory and in transit to pool workers.
+    """
+    dtype = np.min_scalar_type(max(size - 1, 0))
+
+    def split(t: int, j: int, suffix: tuple[int, ...]) -> Iterator[np.ndarray]:
+        count = comb(t, j)
+        if count == 0:
+            return
+        if count <= _CHUNK:
+            yield _colex_block(t, j, suffix, dtype)
+            return
+        yield from split(t - 1, j, suffix)
+        yield from split(t - 1, j - 1, (t - 1,) + suffix)
+
+    if 0 <= k <= size:
+        yield from split(size, k, ())
+
+
+# -- the batch kernel -----------------------------------------------------------
+
+
+def _seed_planes(size: int, chunk: np.ndarray) -> np.ndarray:
+    """Transposed seed state of a chunk: (size + 1, W) ``uint64``, bit c of
+    row i set when candidate c contains cell i.  Row ``size`` stays zero; the
+    -1 entries of ``neighbor_table`` read it as a missing, healthy neighbour.
+    """
+    count = len(chunk)
+    words = -(-count // 64)
+    grid = np.zeros((size + 1, 64 * words), dtype=bool)
+    flat, candidates = grid.reshape(-1), np.arange(count)
+    for cells in chunk.T:
+        flat[cells.astype(np.intp) * (64 * words) + candidates] = True
+    return np.packbits(grid, axis=1, bitorder="little").view("<u8")
+
+
+def _rounds(spec: LatticeSpec, planes: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield the state after round 0 (the seeds), 1, 2, ... until no
+    candidate changes; the last state yielded is every candidate's closure.
+    """
+    size, r = spec.size, spec.r
+    columns = neighbor_table(spec).T
+    while True:
+        yield planes
+        # at[c]: cells with at least c+1 infected neighbours among the
+        # columns seen so far (a bit-sliced saturating counter)
+        at: list[np.ndarray] = []
+        for column in columns:
+            p = planes[column]
+            levels = len(at)
+            if 0 < levels < r:
+                at.append(at[-1] & p)
+            for c in range(levels - 1, 0, -1):
+                at[c] |= at[c - 1] & p
+            if levels:
+                at[0] |= p
             else:
-                rest.append(i)
-        if len(rest) == len(healthy):
-            break
-        healthy = rest
-    return cur
+                at.append(p)
+        grown = planes.copy()
+        grown[:size] |= at[r - 1]
+        if np.array_equal(grown, planes):
+            return
+        planes = grown
 
 
-def _sync_time(masks: list[int], size: int, seed_bits: int, r: int, abort_at: int | None) -> int | None:
-    """Synchronous round count to full infection; None if it stalls.
+def _full(planes: np.ndarray, count: int) -> np.ndarray:
+    """Bool mask of the first ``count`` candidates whose every cell is infected."""
+    every = np.bitwise_and.reduce(planes[:-1], axis=0)
+    return np.unpackbits(every.view(np.uint8), bitorder="little")[:count].astype(bool)
 
-    ``abort_at``: give up once the running round count reaches a value that
-    cannot improve on an already-known optimum.
-    """
-    cur = seed_bits
-    healthy = [i for i in range(size) if not seed_bits >> i & 1]
-    t = 0
-    while healthy:
-        newly = [i for i in healthy if (cur & masks[i]).bit_count() >= r]
-        if not newly:
-            return None
-        t += 1
-        if abort_at is not None and t >= abort_at:
-            return None
-        for i in newly:
-            cur |= 1 << i
-        healthy = [i for i in healthy if not cur >> i & 1]
-    return t
+
+def _percolating(spec: LatticeSpec, chunk: np.ndarray) -> np.ndarray:
+    """Bool mask of the chunk's candidates that percolate."""
+    for planes in _rounds(spec, _seed_planes(spec.size, chunk)):
+        pass
+    return _full(planes, len(chunk))
 
 
 # -- symmetry pruning --------------------------------------------------------
@@ -170,14 +247,22 @@ def symmetry_index_maps(spec: LatticeSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(maps)
 
 
-def _is_canonical(candidate: tuple[int, ...], bits: int, maps: tuple[tuple[int, ...], ...]) -> bool:
-    for table in maps:
-        image = 0
-        for i in candidate:
-            image |= 1 << table[i]
-        if image < bits:
-            return False
-    return True
+def _canonical(spec: LatticeSpec, chunk: np.ndarray) -> np.ndarray:
+    """The candidates that no symmetry maps to a smaller bitmask.
+
+    Two equal-size sets compare as bitmasks exactly as their elements,
+    sorted descending, compare lexicographically.  Each symmetry is tried
+    only on the candidates that survived the ones before it, so the work
+    shrinks with every map instead of being paid in full for each.
+    """
+    maps = np.array(symmetry_index_maps(spec), dtype=chunk.dtype)
+    for table in maps[(maps != np.arange(spec.size)).any(axis=1)]:  # all but the identity
+        own = chunk[:, ::-1]
+        image = np.sort(table[chunk], axis=1)[:, ::-1]
+        first = (image != own).argmax(axis=1)
+        rows = np.arange(len(chunk))
+        chunk = chunk[image[rows, first] >= own[rows, first]]
+    return chunk
 
 
 # -- searches ----------------------------------------------------------------
@@ -193,7 +278,7 @@ def _resolve_budget(budget: int | None) -> int:
 
 def _revalidate_percolation(spec: LatticeSpec, witness: CellSet, expect_time: int | None = None) -> None:
     # independent engine pass over the winning candidate; a failure here
-    # means the bitmask fast path and the engine disagree
+    # means the batch kernel and the engine disagree
     record = run(spec, witness)
     if not record.percolates:
         raise RuntimeError(f"internal check failed: witness {witness.cells()} does not percolate")
@@ -203,32 +288,49 @@ def _revalidate_percolation(spec: LatticeSpec, witness: CellSet, expect_time: in
         )
 
 
-def _scan_size_chunk(
-    spec: LatticeSpec, k: int, max_elem_range: range, symmetry: bool
-) -> tuple[tuple[int, ...] | None, int]:
-    """First percolating k-subset whose maximum lies in the given range.
+def _chunk_results(
+    chunks: Iterable[np.ndarray],
+    work: Callable,
+    args: Callable[[], tuple],
+    parallelism: int,
+) -> Iterator:
+    """``work(chunk, *args())`` for every chunk, yielded in chunk order.
 
-    Returns (hit, candidates whose percolation was actually tested).  The
-    enumeration inside one maximum element follows colex order, so scanning
-    maxima in ascending order reproduces global colex order exactly.
+    ``args`` is read when a chunk is submitted, so it may depend on the
+    results consumed so far.  With ``parallelism > 1`` chunks run in a pool
+    with a bounded number in flight; closing the generator (the caller
+    found what it wanted) cancels pending chunks and shuts the pool down.
     """
-    masks = neighbor_masks(spec)
-    full, r = (1 << spec.size) - 1, spec.r
-    maps = symmetry_index_maps(spec) if symmetry else None
-    examined = 0
-    for m in max_elem_range:
-        high_bit = 1 << m
-        for rest in colex_combinations(m, k - 1):
-            candidate = rest + (m,)
-            bits = high_bit
-            for i in rest:
-                bits |= 1 << i
-            if maps is not None and not _is_canonical(candidate, bits, maps):
-                continue
-            examined += 1
-            if closure_bits(masks, bits, r) == full:
-                return candidate, examined
-    return None, examined
+    if parallelism <= 1:
+        for chunk in chunks:
+            yield work(chunk, *args())
+        return
+    pool = ProcessPoolExecutor(max_workers=parallelism, mp_context=get_context("spawn"))
+    try:
+        in_flight: deque = deque()
+        for chunk in chunks:
+            in_flight.append(pool.submit(work, chunk, *args()))
+            if len(in_flight) > 2 * parallelism:
+                yield in_flight.popleft().result()
+        while in_flight:
+            yield in_flight.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _size_chunk(
+    chunk: np.ndarray, spec: LatticeSpec, symmetry: bool
+) -> tuple[tuple[int, ...] | None, int]:
+    """First percolating candidate of the chunk, and the candidates tested
+    up to and including it (all of them when none percolates).  With
+    ``symmetry`` only canonical candidates are tested.
+    """
+    if symmetry:
+        chunk = _canonical(spec, chunk)
+    hits = np.flatnonzero(_percolating(spec, chunk))
+    if len(hits):
+        return tuple(chunk[hits[0]].tolist()), int(hits[0]) + 1
+    return None, len(chunk)
 
 
 def min_percolating_size(
@@ -257,66 +359,35 @@ def min_percolating_size(
             f"raise the budget or lower max_size",
             examined=0,
         )
+    chunks = (chunk for k in range(1, max_size + 1) for chunk in _colex_chunks(spec.size, k))
+    results = _chunk_results(chunks, _size_chunk, lambda: (spec, symmetry), parallelism)
     examined = 0
-    for k in range(1, max_size + 1):
-        if parallelism > 1:
-            hit, count = _parallel_size_scan(spec, k, symmetry, parallelism)
-        else:
-            hit, count = _scan_size_chunk(spec, k, range(k - 1, spec.size), symmetry)
-        examined += count
-        if hit is not None:
-            witness = CellSet.from_indices(spec.d, spec.n, hit)
-            _revalidate_percolation(spec, witness)
-            return SearchResult("min_size", k, witness, examined, True, symmetry)
+    with closing(results):
+        for hit, count in results:
+            examined += count
+            if hit is not None:
+                witness = CellSet.from_indices(spec.d, spec.n, hit)
+                _revalidate_percolation(spec, witness)
+                return SearchResult("min_size", len(hit), witness, examined, True, symmetry)
     return SearchResult("min_size", None, None, examined, True, symmetry)
 
 
-def _parallel_size_scan(
-    spec: LatticeSpec, k: int, symmetry: bool, parallelism: int
-) -> tuple[tuple[int, ...] | None, int]:
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        futures = [
-            pool.submit(_scan_size_chunk, spec, k, range(m, m + 1), symmetry)
-            for m in range(k - 1, spec.size)
-        ]
-        results = [f.result() for f in futures]
-    examined = 0
-    for hit, count in results:
-        examined += count
-        if hit is not None:
-            return hit, examined
-    return None, examined
+def _time_chunk(
+    chunk: np.ndarray, spec: LatticeSpec, limit: int | None
+) -> tuple[int | None, tuple[int, ...] | None, int, int]:
+    """Least full-infection time below ``limit`` in the chunk.
 
-
-def _scan_time_chunk(
-    spec: LatticeSpec, size: int, max_elem_range: range
-) -> tuple[int | None, tuple[int, ...] | None, int]:
-    """Best synchronous time over percolating size-subsets with max in range.
-
-    Returns (best time, first witness achieving it, candidates examined).
-    Stops early once the unbeatable minimum (1, or 0 for the full lattice)
-    is reached.
+    Returns (time, its first achiever, the achiever's position + 1, chunk
+    length); time and achiever are None when no candidate beats ``limit``.
     """
-    masks = neighbor_masks(spec)
-    cells, r = spec.size, spec.r
-    floor_time = 0 if size == cells else 1
-    best: int | None = None
-    best_witness: tuple[int, ...] | None = None
-    examined = 0
-    for m in max_elem_range:
-        high_bit = 1 << m
-        for rest in colex_combinations(m, size - 1):
-            bits = high_bit
-            for i in rest:
-                bits |= 1 << i
-            examined += 1
-            t = _sync_time(masks, cells, bits, r, abort_at=best)
-            if t is not None and (best is None or t < best):
-                best = t
-                best_witness = rest + (m,)
-                if best == floor_time:
-                    return best, best_witness, examined
-    return best, best_witness, examined
+    for t, planes in enumerate(_rounds(spec, _seed_planes(spec.size, chunk))):
+        if limit is not None and t >= limit:
+            break
+        full = _full(planes, len(chunk))
+        if full.any():
+            i = int(full.argmax())
+            return t, tuple(chunk[i].tolist()), i + 1, len(chunk)
+    return None, None, len(chunk), len(chunk)
 
 
 def min_percolation_time(
@@ -329,7 +400,9 @@ def min_percolation_time(
     """Minimum stabilisation time over percolating sets of exactly ``size`` cells.
 
     Raises :class:`NoPercolatingSetError` when no set of that size
-    percolates.  The witness is the first achiever in colex order.
+    percolates.  The witness is the first achiever in colex order.  The
+    scan stops early once the unbeatable minimum (1, or 0 for the full
+    lattice) is reached.
     """
     if not 0 <= size <= spec.size:
         raise ValueError(f"size must lie in [0, {spec.size}], got {size}")
@@ -343,40 +416,27 @@ def min_percolation_time(
     if size == 0:
         # the empty set never percolates a nonempty lattice
         raise NoPercolatingSetError(f"no percolating set of size 0 on {spec.size} cells")
-    if parallelism > 1:
-        best, witness_idx, examined = _parallel_time_scan(spec, size, parallelism)
-    else:
-        best, witness_idx, examined = _scan_time_chunk(spec, size, range(size - 1, spec.size))
+    floor_time = 0 if size == spec.size else 1
+    best: int | None = None
+    best_witness: tuple[int, ...] | None = None
+    examined = 0
+    chunks = _colex_chunks(spec.size, size)
+    results = _chunk_results(chunks, _time_chunk, lambda: (spec, best), parallelism)
+    with closing(results):
+        for t, witness_idx, position, count in results:
+            if t is not None and (best is None or t < best):
+                best, best_witness = t, witness_idx
+                if best == floor_time:
+                    examined += position
+                    break
+            examined += count
     if best is None:
         raise NoPercolatingSetError(
             f"no percolating set of size {size} in [{spec.n}]^{spec.d} ({spec.topology}, r={spec.r})"
         )
-    witness = CellSet.from_indices(spec.d, spec.n, witness_idx)
+    witness = CellSet.from_indices(spec.d, spec.n, best_witness)
     _revalidate_percolation(spec, witness, expect_time=best)
     return SearchResult("min_time", best, witness, examined, True)
-
-
-def _parallel_time_scan(
-    spec: LatticeSpec, size: int, parallelism: int
-) -> tuple[int | None, tuple[int, ...] | None, int]:
-    floor_time = 0 if size == spec.size else 1
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        futures = [
-            pool.submit(_scan_time_chunk, spec, size, range(m, m + 1))
-            for m in range(size - 1, spec.size)
-        ]
-        results = [f.result() for f in futures]
-    best: int | None = None
-    best_witness: tuple[int, ...] | None = None
-    examined = 0
-    for local_best, local_witness, count in results:
-        examined += count
-        if local_best is not None and (best is None or local_best < best):
-            best = local_best
-            best_witness = local_witness
-            if best == floor_time:
-                break
-    return best, best_witness, examined
 
 
 def is_minimal(spec: LatticeSpec, cells: CellSet) -> bool:
@@ -390,11 +450,9 @@ def is_minimal(spec: LatticeSpec, cells: CellSet) -> bool:
         raise ValueError(
             f"set shape ({cells.d}, {cells.n}) does not match spec ({spec.d}, {spec.n})"
         )
-    masks = neighbor_masks(spec)
-    full = (1 << spec.size) - 1
-    if closure_bits(masks, cells.bits, spec.r) != full:
+    members = np.fromiter(cells.indices(), dtype=np.intp)
+    if not _percolating(spec, members[None, :])[0]:
         raise ValueError("set does not percolate; minimality is undefined")
-    for i in cells.indices():
-        if closure_bits(masks, cells.bits & ~(1 << i), spec.r) == full:
-            return False
-    return True
+    m = len(members)
+    removals = np.broadcast_to(members, (m, m))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    return not _percolating(spec, removals).any()

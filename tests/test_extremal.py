@@ -1,18 +1,27 @@
+import multiprocessing
+import random
+from math import comb
+
+import numpy as np
 import pytest
 
+from bootperc import extremal
 from bootperc.constructions import diagonal, hyperplane_union
 from bootperc.dynamics import CellSet, closure, run
 from bootperc.extremal import (
     BudgetExceededError,
     NoPercolatingSetError,
-    closure_bits,
+    _colex_chunks,
+    _percolating,
+    _rounds,
+    _seed_planes,
     colex_combinations,
     is_minimal,
     min_percolating_size,
     min_percolation_time,
     symmetry_index_maps,
 )
-from bootperc.lattice import LatticeSpec, neighbor_masks
+from bootperc.lattice import LatticeSpec
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -41,18 +50,90 @@ def test_colex_degenerate():
     assert list(colex_combinations(3, 4)) == []
 
 
-# -- fast closure vs engine (dual route) ----------------------------------------
+@pytest.mark.parametrize("chunk", [1, 5, 17, 64])
+def test_colex_chunks_concatenate_to_colex_order(monkeypatch, chunk):
+    monkeypatch.setattr(extremal, "_CHUNK", chunk)
+    for t, j in [(6, 3), (9, 4), (10, 1), (7, 7), (5, 0), (12, 5)]:
+        parts = list(_colex_chunks(t, j))
+        assert all(0 < len(part) <= chunk for part in parts)
+        assert np.vstack(parts).tolist() == [list(c) for c in colex_combinations(t, j)]
+    assert list(_colex_chunks(3, 4)) == []
+
+
+# -- batch kernel vs engine (dual route) ----------------------------------------
+
+
+def _batch_closures_and_times(spec, chunk):
+    """Per candidate: the closure bitmask, and the first round with every
+    cell infected (None if never), both read off the batch kernel."""
+    times = [None] * len(chunk)
+    for t, planes in enumerate(_rounds(spec, _seed_planes(spec.size, chunk))):
+        cells = np.unpackbits(planes[:-1].view(np.uint8), axis=1, bitorder="little")
+        for c in np.flatnonzero(cells[:, : len(chunk)].all(axis=0)):
+            if times[c] is None:
+                times[c] = t
+    closures = [
+        CellSet.from_indices(spec.d, spec.n, np.flatnonzero(cells[:, c]).tolist()).bits
+        for c in range(len(chunk))
+    ]
+    return closures, times
+
+
+def _random_chunk(rng, size, k, count):
+    rows = [sorted(rng.sample(range(size), k)) for _ in range(count)]
+    return np.array(rows, dtype=np.intp).reshape(count, k)
+
+
+def _assert_kernel_matches_engine(spec, chunk):
+    closures, times = _batch_closures_and_times(spec, chunk)
+    for row, bits, t in zip(chunk.tolist(), closures, times):
+        record = run(spec, CellSet.from_indices(spec.d, spec.n, row))
+        assert bits == record.closure().bits, (spec, row)
+        assert t == (record.T if record.percolates else None), (spec, row)
 
 
 def test_bitmask_closure_matches_engine():
-    import random
-
     rng = random.Random(42)
     for spec in (LatticeSpec(2, 4), LatticeSpec(3, 2), LatticeSpec(2, 4, "torus"), LatticeSpec(2, 5, r=3)):
         for _ in range(30):
             k = rng.randint(0, spec.size)
             seed = CellSet.from_indices(spec.d, spec.n, rng.sample(range(spec.size), k))
-            assert closure_bits(neighbor_masks(spec), seed.bits, spec.r) == closure(spec, seed).bits
+            chunk = np.fromiter(seed.indices(), dtype=np.intp).reshape(1, k)
+            closures, _ = _batch_closures_and_times(spec, chunk)
+            assert closures == [closure(spec, seed).bits]
+
+
+@pytest.mark.parametrize("d,n", [(1, 5), (2, 4), (3, 3)])
+@pytest.mark.parametrize("topology", ["grid", "torus"])
+def test_batch_kernel_matches_engine_for_every_threshold(d, n, topology):
+    # chunk lengths straddle the 64-candidate word: 1, 63, 65 and 100
+    rng = random.Random(d * 100 + n)
+    for r in range(1, 2 * d + 1):
+        spec = LatticeSpec(d, n, topology, r)
+        for count in (1, 63, 65, 100):
+            k = rng.randint(0, spec.size)
+            _assert_kernel_matches_engine(spec, _random_chunk(rng, spec.size, k, count))
+
+
+@pytest.mark.parametrize(
+    "spec", [LatticeSpec(2, 9), LatticeSpec(3, 5, "torus"), LatticeSpec(4, 3), LatticeSpec(4, 3, r=2)]
+)
+def test_batch_kernel_matches_engine_over_64_cells(spec):
+    rng = random.Random(spec.size)
+    for k in (1, 3, spec.n ** (spec.d - 1), spec.size // 2):
+        _assert_kernel_matches_engine(spec, _random_chunk(rng, spec.size, k, 70))
+
+
+def test_percolating_nine_subsets_of_the_cube():
+    # pinned regression value: exactly 116 of the C(27, 9) nine-subsets of
+    # [3]^3 percolate under the 3-neighbour rule
+    spec = LatticeSpec(3, 3)
+    total = found = 0
+    for chunk in _colex_chunks(spec.size, 9):
+        total += len(chunk)
+        found += int(_percolating(spec, chunk).sum())
+    assert total == comb(27, 9)
+    assert found == 116
 
 
 # -- min_percolating_size --------------------------------------------------------
@@ -124,6 +205,38 @@ def test_min_size_parallel_matches_serial():
     serial = min_percolating_size(spec, 9)
     parallel = min_percolating_size(spec, 9, parallelism=2)
     assert serial == parallel
+
+
+def test_two_neighbour_minimum_closed_form():
+    # Balogh-Bollobas (PTRF 2006): the smallest 2-neighbour percolating set
+    # of [n]^d has ceil(d(n-1)/2) + 1 cells
+    for d, n in [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]:
+        expected = -(-d * (n - 1) // 2) + 1
+        assert min_percolating_size(LatticeSpec(d, n, r=2), expected).optimum == expected, (d, n)
+
+
+def test_one_neighbour_minimum_is_one():
+    for spec in (LatticeSpec(1, 4, r=1), LatticeSpec(2, 5, r=1), LatticeSpec(3, 3, r=1),
+                 LatticeSpec(2, 4, "torus", 1), LatticeSpec(3, 3, "torus", 1)):
+        res = min_percolating_size(spec, 1)
+        assert res.optimum == 1 and res.instances_examined == 1
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda p: min_percolating_size(LatticeSpec(2, 3), 9, parallelism=p),  # hit at k=3
+        lambda p: min_percolating_size(LatticeSpec(2, 4), 3, parallelism=p),  # no hit
+        lambda p: min_percolating_size(LatticeSpec(2, 4), 4, symmetry=True, parallelism=p),
+        lambda p: min_percolation_time(LatticeSpec(2, 4), 4, parallelism=p),
+        lambda p: min_percolation_time(LatticeSpec(3, 2), 4, parallelism=p),  # floor-time hit
+    ],
+    ids=["size-hit", "size-no-hit", "size-symmetry", "time", "time-floor-hit"],
+)
+def test_parallel_search_over_many_chunks_matches_serial(monkeypatch, search):
+    monkeypatch.setattr(extremal, "_CHUNK", 16)
+    assert search(2) == search(1)
+    assert multiprocessing.active_children() == []
 
 
 # -- min_percolation_time --------------------------------------------------------
