@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from math import comb
-from multiprocessing import get_context
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -35,8 +34,12 @@ from .lattice import LATTICE_CACHE_SIZE, LatticeSpec, cell_at, cell_index, neigh
 
 DEFAULT_BUDGET = 10**8
 
-# Candidates tested in one batch; bounds the memory of a chunk, not an option.
+# Candidates tested in one batch, at most.
 _CHUNK = 2**15
+# Cap on cells x candidates in one chunk.  The seed grid takes that many
+# bytes and each state plane an eighth of it, so a chunk needs a few MB on
+# any lattice; lattices under 128 cells keep the full _CHUNK.
+_CHUNK_CELLS = 2**22
 
 
 class BudgetExceededError(RuntimeError):
@@ -104,54 +107,42 @@ def colex_combinations(n: int, k: int) -> Iterator[tuple[int, ...]]:
 # -- colex chunks -------------------------------------------------------------
 
 
-def _colex_block(t: int, j: int, suffix: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    """All j-subsets of range(t) in colex order, each followed by ``suffix``,
-    as a (comb(t, j), j + len(suffix)) array of ``dtype``.
-
-    colex(t', i) is the concatenation over m of (colex(m, i-1) + {m}), and
-    every colex(m, i-1) is a prefix of the block one column narrower.  So
-    each column is a gather of its level's top elements, through the row
-    maps of the levels above it.
-    """
-    levels = []
-    for i in range(1, j + 1):
-        tops = np.arange(i - 1, t - j + i, dtype=dtype)
-        counts = np.array([comb(int(m), i - 1) for m in tops])
-        starts = np.cumsum(counts) - counts
-        levels.append((np.repeat(tops, counts), np.arange(counts.sum()) - np.repeat(starts, counts)))
-    block = np.empty((j + len(suffix), comb(t, j)), dtype=dtype)
-    block[j:] = np.array(suffix, dtype=dtype)[:, None]
-    rows = np.arange(block.shape[1])
-    for i in range(j, 0, -1):
-        tops, prefix = levels[i - 1]
-        np.take(tops, rows, out=block[i - 1])
-        rows = prefix[rows]
-    return block.T
+def _chunk_length(size: int) -> int:
+    """Candidates per chunk on a lattice of ``size`` cells: ``_CHUNK``, or
+    fewer where that would take a chunk's seed grid over ``_CHUNK_CELLS``."""
+    return max(1, min(_CHUNK, _CHUNK_CELLS // (size + 1)))
 
 
 def _colex_chunks(size: int, k: int) -> Iterator[np.ndarray]:
-    """(K, k) index arrays with K <= _CHUNK whose rows, in sequence, are
-    exactly ``colex_combinations(size, k)``.
+    """(K, k) index arrays whose rows, in sequence, are exactly
+    ``colex_combinations(size, k)``; all but the last hold
+    ``_chunk_length(size)`` rows.
 
-    Splits by colex(t, j) = colex(t-1, j) ++ (colex(t-1, j-1) + {t-1}) until
-    a part fits in one chunk; ``suffix`` holds the elements fixed on the way.
-    Entries use the smallest unsigned dtype that holds ``size - 1``, which
-    keeps chunks small in memory and in transit to pool workers.
+    The k-set c_1 < ... < c_k has colex rank sum_i comb(c_i, i), so a chunk
+    is unranked from its range of ranks, largest element first: c_i is the
+    greatest m with comb(m, i) <= the rank still left.  Entries use the
+    smallest unsigned dtype that holds ``size - 1``, which keeps chunks
+    small in memory and in transit to pool workers.
     """
+    if not 0 <= k <= size:
+        return
     dtype = np.min_scalar_type(max(size - 1, 0))
-
-    def split(t: int, j: int, suffix: tuple[int, ...]) -> Iterator[np.ndarray]:
-        count = comb(t, j)
-        if count == 0:
-            return
-        if count <= _CHUNK:
-            yield _colex_block(t, j, suffix, dtype)
-            return
-        yield from split(t - 1, j, suffix)
-        yield from split(t - 1, j - 1, (t - 1,) + suffix)
-
-    if 0 <= k <= size:
-        yield from split(size, k, ())
+    # c_i lies in [i-1, size-k+i-1]; a binomial past int64 exceeds every
+    # rank, so clipping it keeps the tables sorted and the search exact
+    cap = np.iinfo(np.int64).max
+    tables = [
+        np.array([min(comb(m, i), cap) for m in range(i - 1, size - k + i)], dtype=np.int64)
+        for i in range(1, k + 1)
+    ]
+    total, step = comb(size, k), _chunk_length(size)
+    for start in range(0, total, step):
+        rank = np.arange(start, min(start + step, total), dtype=np.int64)
+        chunk = np.empty((len(rank), k), dtype=dtype)
+        for i in range(k, 0, -1):
+            m = np.searchsorted(tables[i - 1], rank, side="right") - 1
+            rank -= tables[i - 1][m]
+            chunk[:, i - 1] = m + (i - 1)
+        yield chunk
 
 
 # -- the batch kernel -----------------------------------------------------------
@@ -305,7 +296,7 @@ def _chunk_results(
         for chunk in chunks:
             yield work(chunk, *args())
         return
-    pool = ProcessPoolExecutor(max_workers=parallelism, mp_context=get_context("spawn"))
+    pool = ProcessPoolExecutor(max_workers=parallelism)
     try:
         in_flight: deque = deque()
         for chunk in chunks:

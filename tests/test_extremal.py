@@ -60,6 +60,27 @@ def test_colex_chunks_concatenate_to_colex_order(monkeypatch, chunk):
     assert list(_colex_chunks(3, 4)) == []
 
 
+def test_colex_chunks_on_large_lattices(monkeypatch):
+    # past 127 cells a chunk holds fewer than _CHUNK candidates; the order
+    # stays exact
+    parts = list(_colex_chunks(1300, 2))
+    assert max(map(len, parts)) == extremal._chunk_length(1300) < extremal._CHUNK
+    assert np.vstack(parts).tolist() == [list(c) for c in colex_combinations(1300, 2)]
+    # no depth of recursion grows with k: the (size - 1)-subsets over many
+    # chunks, where row i leaves out cell size - 1 - i
+    monkeypatch.setattr(extremal, "_CHUNK", 64)
+    size = 1200
+    rows = np.vstack(list(_colex_chunks(size, size - 1)))
+    assert (np.diff(rows.astype(np.int64), axis=1) > 0).all()
+    missing = size * (size - 1) // 2 - rows.sum(axis=1, dtype=np.int64)
+    assert missing.tolist() == list(range(size - 1, -1, -1))
+
+
+def test_min_size_on_a_lattice_of_40000_cells():
+    res = min_percolating_size(LatticeSpec(2, 200, r=1), 1)
+    assert (res.optimum, res.instances_examined, res.witness.cells()) == (1, 1, [(1, 1)])
+
+
 # -- batch kernel vs engine (dual route) ----------------------------------------
 
 
