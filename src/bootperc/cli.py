@@ -232,12 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_lattice_args(p: argparse.ArgumentParser, torus_ok: bool = True) -> None:
+    def add_lattice_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--d", type=_positive_int, required=True, help="number of dimensions")
         p.add_argument("--n", type=_positive_int, required=True, help="side length")
         p.add_argument("--r", type=_positive_int, default=None, help="infection threshold (default: d)")
-        if torus_ok:
-            p.add_argument("--topology", choices=("grid", "torus"), default="grid")
+        p.add_argument("--topology", choices=("grid", "torus"), default="grid")
 
     p = sub.add_parser("simulate", help="run one percolation process to stabilisation")
     add_lattice_args(p)

@@ -9,10 +9,10 @@ d-neighbour rule, which makes it the standard extremal seed set.
 
 from __future__ import annotations
 
-from typing import Iterator
+import numpy as np
 
 from .dynamics import CellSet
-from .lattice import Cell, iter_level_cells
+from .lattice import Cell, levels
 
 # The three extra torus seeds live one per wraparound slab; once the
 # embedded (n-1)-cube is full, each slab cell has two infected neighbours
@@ -27,17 +27,14 @@ def level_set(d: int, n: int, k: int) -> CellSet:
     """All cells of [n]^d with coordinate sum ``k``; empty when k < d or k > d*n."""
     if d < 1 or n < 1:
         raise ValueError(f"invalid shape d={d}, n={n}")
-    return CellSet.from_cells(d, n, iter_level_cells(d, n, k))
+    return CellSet._from_mask(d, n, levels(d, n) == k)
 
 
 def hyperplane_union(d: int, n: int) -> CellSet:
     """Union of the level sets at n, 2n, ..., dn; cardinality n**(d-1)."""
     if d < 1 or n < 1:
         raise ValueError(f"invalid shape d={d}, n={n}")
-    out = CellSet.empty(d, n)
-    for i in range(1, d + 1):
-        out = out | level_set(d, n, i * n)
-    return out
+    return CellSet._from_mask(d, n, levels(d, n) % n == 0)
 
 
 def shifted_union(d: int, n: int) -> CellSet:
@@ -48,11 +45,9 @@ def shifted_union(d: int, n: int) -> CellSet:
     """
     if d < 1 or n < 1:
         raise ValueError(f"invalid shape d={d}, n={n}")
-    shift = n // 2
-    out = CellSet.empty(d, n)
-    for i in range(1, d + 1):
-        out = out | level_set(d, n, i * n - shift)
-    return out
+    # every level lies in [d, d*n], so the levels i*n - floor(n/2) for
+    # i = 1..d are exactly those congruent to -floor(n/2) mod n
+    return CellSet._from_mask(d, n, levels(d, n) % n == -(n // 2) % n)
 
 
 def diagonal(n: int) -> CellSet:
@@ -63,25 +58,13 @@ def diagonal(n: int) -> CellSet:
 
 
 def boundary(d: int, n: int) -> CellSet:
-    """All cells with some coordinate equal to 1 or n.
-
-    Built slab by slab (2d slabs of n**(d-1) cells each) rather than by
-    filtering the whole lattice.
-    """
+    """All cells with some coordinate equal to 1 or n."""
     if d < 1 or n < 1:
         raise ValueError(f"invalid shape d={d}, n={n}")
-    size = n**d
-
-    def slab_indices() -> Iterator[int]:
-        stride = size
-        for _ in range(d):
-            stride //= n
-            for base in range(0, size, stride * n):
-                for offset in range(stride):
-                    yield base + offset  # coordinate == 1
-                    yield base + (n - 1) * stride + offset  # coordinate == n
-
-    return CellSet.from_indices(d, n, slab_indices())
+    edge = np.zeros((n,) * d, dtype=bool)
+    for coord in np.indices((n,) * d, sparse=True):
+        edge |= (coord == 0) | (coord == n - 1)
+    return CellSet._from_mask(d, n, edge.ravel())
 
 
 def torus3_seed(n: int) -> CellSet:

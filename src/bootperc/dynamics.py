@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .lattice import Cell, LatticeSpec, cell_at, cell_index, neighbor_lists, neighbor_table
+from .lattice import Cell, LatticeSpec, cell_at, cell_index, neighbor_table, neighbors
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,18 @@ class CellSet:
 
     @classmethod
     def from_indices(cls, d: int, n: int, indices: Iterable[int]) -> "CellSet":
-        # bytearray accumulation: repeated |= on one big int would be
-        # quadratic in the universe size
         size = n**d
-        buf = bytearray((size + 7) // 8)
-        for i in indices:
-            if not 0 <= i < size:
-                raise ValueError(f"index {i} outside [0, {size})")
-            buf[i >> 3] |= 1 << (i & 7)
-        return cls(d, n, int.from_bytes(bytes(buf), "little"))
+        idx = list(indices)
+        if idx and not 0 <= min(idx) <= max(idx) < size:
+            raise ValueError(f"index {next(i for i in idx if not 0 <= i < size)} outside [0, {size})")
+        mask = np.zeros(size, dtype=bool)
+        mask[idx] = True
+        return cls._from_mask(d, n, mask)
+
+    @classmethod
+    def _from_mask(cls, d: int, n: int, mask: np.ndarray) -> "CellSet":
+        """The set whose members are the True entries of a bool array over linear indices."""
+        return cls(d, n, int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little"))
 
     @classmethod
     def from_cells(cls, d: int, n: int, cells: Iterable[Cell]) -> "CellSet":
@@ -97,16 +100,15 @@ class CellSet:
     def __contains__(self, cell: Cell) -> bool:
         return bool(self.bits >> cell_index(cell, self.d, self.n) & 1)
 
-    def indices(self) -> Iterator[int]:
-        """Set bits in ascending order (one pass over the underlying bytes)."""
+    def _mask(self) -> np.ndarray:
+        """Bool array over linear indices, True on the members."""
         size = self.n**self.d
-        data = self.bits.to_bytes((size + 7) // 8, "little")
-        for byte_pos, byte in enumerate(data):
-            base = byte_pos * 8
-            while byte:
-                low = byte & -byte
-                yield base + low.bit_length() - 1
-                byte &= byte - 1
+        data = np.frombuffer(self.bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(data, count=size, bitorder="little").view(bool)
+
+    def indices(self) -> Iterator[int]:
+        """Set bits in ascending order, as Python ints."""
+        return iter(_index_array(self).tolist())
 
     def __iter__(self) -> Iterator[Cell]:
         return (cell_at(i, self.d, self.n) for i in self.indices())
@@ -182,8 +184,7 @@ class RunRecord:
         return None if t < 0 else t
 
     def closure(self) -> CellSet:
-        infected = (i for i, t in enumerate(self.times) if t >= 0)
-        return CellSet.from_indices(self.spec.d, self.spec.n, infected)
+        return CellSet._from_mask(self.spec.d, self.spec.n, np.asarray(self.times) >= 0)
 
     def newly_infected(self, step: int) -> list[Cell]:
         """Cells whose infection round equals ``step`` (ascending index order)."""
@@ -212,7 +213,7 @@ class RunRecord:
 
 
 def _index_array(cells: CellSet) -> np.ndarray:
-    return np.fromiter(cells.indices(), dtype=np.int64, count=len(cells))
+    return np.flatnonzero(cells._mask())
 
 
 def _check_compatible(spec: LatticeSpec, initial: CellSet) -> None:
@@ -304,8 +305,9 @@ def run_naive(
     _check_compatible(spec, initial)
     if record_trace and spec.topology != "grid":
         raise ValueError("perimeter trace is defined for the grid topology only")
-    nbrs = neighbor_lists(spec)
-    size = spec.size
+    # built by coordinate arithmetic, independently of the table run reads
+    d, n, size = spec.d, spec.n, spec.size
+    nbrs = [[cell_index(v, d, n) for v in neighbors(cell_at(i, d, n), spec)] for i in range(size)]
     r = spec.r
     twod = 2 * spec.d
     times = [-1] * size
@@ -336,7 +338,7 @@ def run_naive(
         t += 1
         if events is not None:
             for i, cnt in newly:
-                events.append(AuditEvent(cell_at(i, spec.d, spec.n), t, cnt))
+                events.append(AuditEvent(cell_at(i, d, n), t, cnt))
         for i, _ in newly:
             times[i] = t
         healthy = [i for i in healthy if times[i] < 0]
@@ -368,8 +370,7 @@ def perimeter(spec: LatticeSpec, cells: CellSet) -> int:
     if spec.topology != "grid":
         raise ValueError("perimeter is defined for the grid topology only")
     _check_compatible(spec, cells)
-    members = _index_array(cells)
-    is_member = np.zeros(spec.size + 1, dtype=bool)  # the -1 entries read the last slot
-    is_member[members] = True
+    is_member = np.append(cells._mask(), False)  # the -1 entries read the last slot
+    members = np.flatnonzero(is_member)
     inside = int(np.count_nonzero(is_member[neighbor_table(spec)[members]]))
     return 2 * spec.d * len(members) - inside

@@ -12,9 +12,9 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .constructions import build_construction, level_set
-from .dynamics import closure, run
+from .dynamics import run
 from .extremal import BudgetExceededError
-from .lattice import LatticeSpec, iter_level_cells
+from .lattice import LatticeSpec, levels
 from .witness import StripContext
 
 SWEEP_CONSTRUCTIONS = ("hyperplanes", "shifted", "boundary")
@@ -31,15 +31,11 @@ def verify_strip_fill(d: int, n: int, s: int) -> bool:
     """
     ctx = StripContext(d, n, s)  # validates the (d, n, s) combination
     seeds = level_set(d, n, ctx.lower_level) | level_set(d, n, ctx.upper_level)
-    spec = LatticeSpec(d, n, "grid", d)
-    closed = closure(spec, seeds)
+    times = np.asarray(run(LatticeSpec(d, n, "grid", d), seeds).times)
     lowest_strip = -(-d // n)
     first_level = d if s == lowest_strip else ctx.lower_level + 1
-    for level in range(first_level, ctx.upper_level):
-        for cell in iter_level_cells(d, n, level):
-            if cell not in closed:
-                return False
-    return True
+    level = levels(d, n)
+    return bool((times[(level >= first_level) & (level < ctx.upper_level)] >= 0).all())
 
 
 class LevelFill(NamedTuple):
@@ -90,27 +86,22 @@ def verify_separation(d: int, n: int) -> SeparationReport:
     if high > d * n:
         raise ValueError(f"no valid seed levels: {high} exceeds the top level {d * n}")
     seeds = level_set(d, n, low) | level_set(d, n, high)
-    spec = LatticeSpec(d, n, "grid", d)
-    closed = closure(spec, seeds)
-    percolates = len(closed) == spec.size
+    record = run(LatticeSpec(d, n, "grid", d), seeds)
+    level = levels(d, n)
+    totals = np.bincount(level, minlength=high + 1).tolist()
+    infected = np.bincount(level[np.asarray(record.times) >= 0], minlength=high + 1).tolist()
 
-    levels = []
-    all_required_partial = True
-    for level in range(low + 1, high):
-        cells = list(iter_level_cells(d, n, level))
-        infected = sum(1 for cell in cells if cell in closed)
-        required = bool(cells) and (level - low > 1) and (high - level > 1)
-        if required and infected == len(cells):
-            all_required_partial = False
-        levels.append(LevelFill(level, len(cells), infected, required))
-
+    fills = [
+        LevelFill(lv, totals[lv], infected[lv], totals[lv] > 0 and lv - low > 1 and high - lv > 1)
+        for lv in range(low + 1, high)
+    ]
     return SeparationReport(
         d=d,
         n=n,
         seed_levels=(low, high),
-        percolates=percolates,
-        holds=not percolates and all_required_partial,
-        levels=levels,
+        percolates=record.percolates,
+        holds=not record.percolates and all(f.infected < f.total for f in fills if f.required),
+        levels=fills,
     )
 
 

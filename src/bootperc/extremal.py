@@ -29,8 +29,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .dynamics import CellSet, run
-from .lattice import LATTICE_CACHE_SIZE, LatticeSpec, cell_at, cell_index, neighbor_table
+from .dynamics import CellSet, _index_array, run
+from .lattice import LATTICE_CACHE_SIZE, LatticeSpec, neighbor_table
 
 DEFAULT_BUDGET = 10**8
 
@@ -208,34 +208,29 @@ def _percolating(spec: LatticeSpec, chunk: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
-def symmetry_index_maps(spec: LatticeSpec) -> tuple[tuple[int, ...], ...]:
+def symmetry_index_maps(spec: LatticeSpec) -> np.ndarray:
     """Index permutations of the lattice symmetries used for pruning.
 
-    Grid: the full hyperoctahedral group (axis permutations x reflections,
-    2^d * d! elements).  Torus: the n^d coordinate translations.  The
-    identity is included; canonicality tests use strict comparison.
+    A read-only (maps, size) array, in the dtype of the search chunks, that
+    sends each linear index to that of its image.  Grid: the full
+    hyperoctahedral group (axis permutations x reflections, 2^d * d!
+    elements), each the index grid flipped and transposed.  Torus: the n^d
+    coordinate translations, each a roll of the grid.  Row 0 is the
+    identity; canonicality tests use strict comparison.
     """
-    d, n, size = spec.d, spec.n, spec.size
-    cells = [cell_at(i, d, n) for i in range(size)]
-    maps = []
+    d, n = spec.d, spec.n
+    grid = np.arange(spec.size, dtype=np.min_scalar_type(spec.size - 1)).reshape((n,) * d)
     if spec.topology == "grid":
-        for axes in permutations(range(d)):
-            for flips in product((False, True), repeat=d):
-                table = []
-                for cell in cells:
-                    image = tuple(
-                        n + 1 - cell[axes[j]] if flips[j] else cell[axes[j]] for j in range(d)
-                    )
-                    table.append(cell_index(image, d, n))
-                maps.append(tuple(table))
+        maps = [
+            np.flip(grid, [j for j in range(d) if flips[j]]).transpose(np.argsort(axes))
+            for axes in permutations(range(d))
+            for flips in product((False, True), repeat=d)
+        ]
     else:
-        for shifts in product(range(n), repeat=d):
-            table = []
-            for cell in cells:
-                image = tuple((cell[j] - 1 + shifts[j]) % n + 1 for j in range(d))
-                table.append(cell_index(image, d, n))
-            maps.append(tuple(table))
-    return tuple(maps)
+        maps = [np.roll(grid, [-s for s in shifts], range(d)) for shifts in product(range(n), repeat=d)]
+    table = np.stack(maps).reshape(len(maps), spec.size)
+    table.flags.writeable = False
+    return table
 
 
 def _canonical(spec: LatticeSpec, chunk: np.ndarray) -> np.ndarray:
@@ -246,8 +241,7 @@ def _canonical(spec: LatticeSpec, chunk: np.ndarray) -> np.ndarray:
     only on the candidates that survived the ones before it, so the work
     shrinks with every map instead of being paid in full for each.
     """
-    maps = np.array(symmetry_index_maps(spec), dtype=chunk.dtype)
-    for table in maps[(maps != np.arange(spec.size)).any(axis=1)]:  # all but the identity
+    for table in symmetry_index_maps(spec)[1:]:  # all but the identity
         own = chunk[:, ::-1]
         image = np.sort(table[chunk], axis=1)[:, ::-1]
         first = (image != own).argmax(axis=1)
@@ -441,7 +435,7 @@ def is_minimal(spec: LatticeSpec, cells: CellSet) -> bool:
         raise ValueError(
             f"set shape ({cells.d}, {cells.n}) does not match spec ({spec.d}, {spec.n})"
         )
-    members = np.fromiter(cells.indices(), dtype=np.intp)
+    members = _index_array(cells)
     if not _percolating(spec, members[None, :])[0]:
         raise ValueError("set does not percolate; minimality is undefined")
     m = len(members)

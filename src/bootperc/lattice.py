@@ -6,9 +6,12 @@ linear indices through the fixed row-major rule
 
     index(v) = sum_i (v_i - 1) * n**(d - i)
 
-so the last coordinate varies fastest.  All other modules rely on this
-mapping and on the fixed neighbour order (dimension 1..d, minus step before
-plus step) for bit-reproducible iteration.
+so the last coordinate varies fastest, as in the index grid
+``np.arange(n**d).reshape((n,) * d)``.  Whole-lattice geometry (the
+neighbour table, :func:`levels`) is derived from that grid and its sparse
+coordinates ``np.indices((n,) * d, sparse=True)``.  All other modules rely
+on this mapping and on the fixed neighbour order (dimension 1..d, minus
+step before plus step) for bit-reproducible iteration.
 """
 
 from __future__ import annotations
@@ -152,38 +155,38 @@ def iter_level_cells(d: int, n: int, k: int) -> Iterator[Cell]:
     yield from rec((), d, k)
 
 
+def levels(d: int, n: int) -> np.ndarray:
+    """Coordinate sum of every cell of [n]^d, by linear index, in the
+    smallest unsigned dtype that holds ``d * n``."""
+    dtype = np.min_scalar_type(d * n)
+    return sum(np.indices((n,) * d, dtype=dtype, sparse=True), dtype.type(d)).ravel()
+
+
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def neighbor_table(spec: LatticeSpec) -> np.ndarray:
     """(size, 2d) array of neighbour indices, -1 where a grid neighbour is missing.
 
     Column order matches :func:`neighbors`: (dim1-, dim1+, dim2-, dim2+, ...).
+    Each column is the index grid rolled by one step along an axis, so it
+    wraps around the torus; on the grid the wrapped slice is set to -1.
     """
-    n, d, size = spec.n, spec.d, spec.size
-    idx = np.arange(size, dtype=np.int64)
-    cols = []
-    stride = size
-    for _ in range(d):
-        stride //= n
-        coord = (idx // stride) % n  # 0-based coordinate along this axis
-        minus = idx - stride
-        plus = idx + stride
-        if spec.topology == "torus":
-            minus = np.where(coord == 0, idx + (n - 1) * stride, minus)
-            plus = np.where(coord == n - 1, idx - (n - 1) * stride, plus)
-        else:
-            minus = np.where(coord == 0, -1, minus)
-            plus = np.where(coord == n - 1, -1, plus)
-        cols.append(minus)
-        cols.append(plus)
-    return np.stack(cols, axis=1)
+    n, d = spec.n, spec.d
+    grid = np.arange(spec.size, dtype=np.int64).reshape((n,) * d)
+    table = np.empty((n,) * d + (2 * d,), dtype=np.int64)
+    for axis in range(d):
+        for col, step, edge in ((2 * axis, 1, 0), (2 * axis + 1, -1, n - 1)):
+            table[..., col] = np.roll(grid, step, axis)
+            if spec.topology == "grid":
+                np.moveaxis(table[..., col], axis, 0)[edge] = -1
+    return table.reshape(spec.size, 2 * d)
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def neighbor_lists(spec: LatticeSpec) -> list[list[int]]:
     """Per-cell neighbour index lists (shared, do not mutate).
 
-    Serves only the reference engine ``run_naive`` and :func:`neighbor_masks`;
-    the frontier engine reads :func:`neighbor_table` directly.
+    Kept only for :func:`neighbor_masks` and the benchmark's layer probes;
+    the engines read :func:`neighbor_table` or :func:`neighbors`.
     """
     return [[x for x in row if x >= 0] for row in neighbor_table(spec).tolist()]
 

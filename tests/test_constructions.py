@@ -10,8 +10,8 @@ from bootperc.constructions import (
     shifted_union,
     torus3_seed,
 )
-from bootperc.dynamics import run
-from bootperc.lattice import LatticeSpec
+from bootperc.dynamics import CellSet, run
+from bootperc.lattice import LatticeSpec, cell_at
 
 
 def test_level_set_singletons():
@@ -145,3 +145,28 @@ def test_build_construction_covers_all_names():
 def test_constructions_are_deterministic():
     assert hyperplane_union(3, 5) == hyperplane_union(3, 5)
     assert torus3_seed(6) == torus3_seed(6)
+
+
+def _filtered(d, n, keep):
+    return CellSet.from_indices(d, n, [i for i in range(n**d) if keep(cell_at(i, d, n))])
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_constructions_match_brute_force_filters(d, n):
+    for k in range(0, d * n + 2):
+        assert level_set(d, n, k) == _filtered(d, n, lambda c: sum(c) == k)
+    hyperplanes = {i * n for i in range(1, d + 1)}
+    assert hyperplane_union(d, n) == _filtered(d, n, lambda c: sum(c) in hyperplanes)
+    shifted = {i * n - n // 2 for i in range(1, d + 1)}
+    assert shifted_union(d, n) == _filtered(d, n, lambda c: sum(c) in shifted)
+    assert boundary(d, n) == _filtered(d, n, lambda c: 1 in c or n in c)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_torus3_seed_matches_brute_force_filter(n):
+    extra = {(1, 1, n), (1, n, 1), (n, 1, 1)}
+    embedded = {i * (n - 1) for i in (1, 2, 3)}
+    assert torus3_seed(n) == _filtered(
+        3, n, lambda c: c in extra or (max(c) < n and sum(c) in embedded)
+    )

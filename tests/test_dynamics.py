@@ -1,11 +1,13 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
+from bootperc import dynamics, lattice
 from bootperc.constructions import hyperplane_union
 from bootperc.dynamics import CellSet, closure, perimeter, run, run_naive
-from bootperc.lattice import LatticeSpec
+from bootperc.lattice import LatticeSpec, neighbor_table
 
 
 def cellset(d, n, *cells):
@@ -24,6 +26,28 @@ def test_cellset_algebra_and_iteration():
     assert a.issubset(a | b)
     assert (1, 1) in a and (3, 3) not in a
     assert a.remove_cell((1, 1)).cells() == [(2, 2)]
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 7), (2, 3), (1, 9), (2, 8), (1, 65), (3, 5), (2, 11)])
+def test_cellset_index_round_trip(d, n):
+    size = n**d
+    rng = random.Random(size)
+    some = CellSet.from_indices(d, n, rng.sample(range(size), size // 3))
+    for cells in (CellSet.empty(d, n), CellSet.full(d, n), some):
+        idx = list(cells.indices())
+        assert all(type(i) is int for i in idx)
+        assert idx == [i for i in range(size) if cells.bits >> i & 1]
+        assert CellSet.from_indices(d, n, idx) == cells
+        assert CellSet.from_indices(d, n, np.array(idx[::-1] + idx, dtype=np.int64)) == cells
+        assert CellSet.from_cells(d, n, cells.cells()) == cells
+        assert json.loads(json.dumps(cells.to_coord_lists())) == [list(c) for c in cells]
+    assert len(CellSet.full(d, n)) == size and not list(CellSet.empty(d, n).indices())
+
+
+@pytest.mark.parametrize("bad", [-1, 9, 2**70, -(2**70)])
+def test_from_indices_rejects_bad_indices(bad):
+    with pytest.raises(ValueError, match=f"index {bad} outside"):
+        CellSet.from_indices(2, 3, [0, bad, 4])
 
 
 def test_cellset_shape_mismatch():
@@ -229,6 +253,18 @@ def test_engines_agree_on_threshold_one():
     a = run(spec, seed, record_trace=True)
     assert a == run_naive(spec, seed, record_trace=True)
     assert a.T == 4  # L1 eccentricity of the centre
+
+
+def test_oracle_does_not_read_the_neighbour_table(monkeypatch):
+    spec = LatticeSpec(2, 6, r=1)
+    seed = CellSet.from_cells(2, 6, [(2, 3)])
+    reference = run(spec, seed, audit=True)
+    # every row now lists the neighbours of the previous cell
+    corrupted = np.roll(neighbor_table(spec), 1, axis=0)
+    for module in (dynamics, lattice):
+        monkeypatch.setattr(module, "neighbor_table", lambda _spec: corrupted)
+    assert run(spec, seed, audit=True) != reference
+    assert run_naive(spec, seed, audit=True) == reference
 
 
 def _equivalence_cases():

@@ -6,7 +6,10 @@ from bootperc.experiments import (
     verify_separation,
     verify_strip_fill,
 )
+from bootperc.constructions import level_set
+from bootperc.dynamics import run_naive
 from bootperc.extremal import BudgetExceededError
+from bootperc.lattice import LatticeSpec, cell_at
 
 
 # -- strip fill ---------------------------------------------------------------
@@ -53,6 +56,18 @@ def test_separation_hand_checked_square():
 @pytest.mark.parametrize("n", range(4, 9))
 def test_separation_holds(d, n):
     assert verify_separation(d, n).holds
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (2, 5), (3, 3), (3, 4), (4, 3)])
+def test_separation_level_counts_match_brute_force(d, n):
+    report = verify_separation(d, n)
+    low, high = report.seed_levels
+    times = run_naive(LatticeSpec(d, n), level_set(d, n, low) | level_set(d, n, high)).times
+    assert [lv.level for lv in report.levels] == list(range(low + 1, high))
+    for lv in report.levels:
+        cells = [i for i in range(n**d) if sum(cell_at(i, d, n)) == lv.level]
+        assert (lv.total, lv.infected) == (len(cells), sum(1 for i in cells if times[i] >= 0))
+        assert type(lv.total) is int and type(lv.infected) is int
 
 
 def test_separation_validation():

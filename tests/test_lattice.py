@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from bootperc.extremal import symmetry_index_maps
@@ -142,6 +144,67 @@ def test_neighbor_lists_match_neighbors():
         for i in range(spec.size):
             expected = [cell_to_index(v, spec) for v in neighbors(index_to_cell(i, spec), spec)]
             assert lists[i] == expected
+
+
+def _table_specs():
+    for d in range(1, 5):
+        for n in (1, 2, 3, 5) if d <= 2 else (1, 2, 3):
+            yield LatticeSpec(d, n)
+        for n in (3, 4):
+            yield LatticeSpec(d, n, "torus")
+
+
+@pytest.mark.parametrize("spec", list(_table_specs()), ids=str)
+def test_neighbor_table_rows_match_neighbors(spec):
+    # neighbors() omits missing grid neighbours; the table keeps their
+    # column and writes -1 there
+    table = neighbor_table(spec)
+    assert table.shape == (spec.size, 2 * spec.d)
+    for i, row in enumerate(table.tolist()):
+        cell = index_to_cell(i, spec)
+        listed = iter(neighbors(cell, spec))
+        expected = []
+        for j in range(spec.d):
+            for edge in (1, spec.n):
+                missing = spec.topology == "grid" and cell[j] == edge
+                expected.append(-1 if missing else cell_to_index(next(listed, None), spec))
+        assert next(listed, None) is None
+        assert row == expected
+
+
+def _check_automorphisms(spec, maps):
+    assert not maps.flags.writeable
+    rows = [tuple(row) for row in maps.tolist()]
+    assert len(set(rows)) == len(rows)
+    edges = {
+        (i, cell_to_index(v, spec))
+        for i in range(spec.size)
+        for v in neighbors(index_to_cell(i, spec), spec)
+    }
+    for row in rows:
+        assert sorted(row) == list(range(spec.size))
+        assert all((row[a], row[b]) in edges for a, b in edges)
+    return rows
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (1, 5), (2, 2), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_grid_symmetry_maps_are_distinct_automorphisms(d, n):
+    spec = LatticeSpec(d, n)
+    rows = _check_automorphisms(spec, symmetry_index_maps(spec))
+    assert len(rows) == 2**d * math.factorial(d)
+
+
+@pytest.mark.parametrize("d,n", [(1, 3), (1, 5), (2, 3), (2, 4), (3, 3)])
+def test_torus_symmetry_maps_are_the_translations(d, n):
+    spec = LatticeSpec(d, n, "torus")
+    rows = _check_automorphisms(spec, symmetry_index_maps(spec))
+    assert len(rows) == n**d
+    for row in rows:
+        shifts = {
+            tuple((a - b) % n for a, b in zip(index_to_cell(row[i], spec), index_to_cell(i, spec)))
+            for i in range(spec.size)
+        }
+        assert len(shifts) == 1
 
 
 def test_neighbor_masks_match_lists():
