@@ -17,7 +17,16 @@ from .constructions import (
     shifted_union,
     torus3_seed,
 )
-from .dynamics import AuditEvent, CellSet, RunRecord, closure, perimeter, run, run_naive
+from .dynamics import (
+    AuditEvent,
+    CellSet,
+    RunRecord,
+    closure,
+    perimeter,
+    run,
+    run_naive,
+    write_record_json,
+)
 from .experiments import (
     SeparationReport,
     SweepRow,
@@ -110,4 +119,5 @@ __all__ = [
     "torus3_seed",
     "verify_separation",
     "verify_strip_fill",
+    "write_record_json",
 ]

@@ -13,8 +13,10 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .constructions import CONSTRUCTIONS, build_construction
-from .dynamics import CellSet, RunRecord, run
+from .dynamics import CellSet, RunRecord, run, write_record_json
 from .experiments import SWEEP_CONSTRUCTIONS, sweep_time, verify_separation, verify_strip_fill
 from .extremal import (
     BudgetExceededError,
@@ -22,7 +24,7 @@ from .extremal import (
     min_percolating_size,
     min_percolation_time,
 )
-from .lattice import LatticeSpec, cell_at
+from .lattice import LatticeSpec, coordinates
 from .witness import StripContext, build_witness
 
 BUDGET_ENV_VAR = "BOOTPERC_BUDGET"
@@ -103,16 +105,16 @@ def _load_initial(args: argparse.Namespace) -> CellSet:
 
 
 def _stream_snapshots(record: RunRecord, every: int) -> None:
-    # one pass over the times groups the cells of every emitted step, in
+    # one stable sort groups the cells of every emitted step, each group in
     # ascending index order as newly_infected would list them
-    by_step: list[list[int]] = [[] for _ in range(record.T // every + 1)]
-    for i, t in enumerate(record.times):
-        if t >= 0 and t % every == 0:
-            by_step[t // every].append(i)
-    d, n = record.spec.d, record.spec.n
-    for k, indices in enumerate(by_step):
-        cells = [list(cell_at(i, d, n)) for i in indices]
-        _emit(json.dumps({"step": k * every, "cells": cells}))
+    times = record.times_array
+    emitted = np.flatnonzero((times >= 0) & (times % every == 0))
+    emitted = emitted[np.argsort(times[emitted], kind="stable")]
+    steps = range(0, record.T + 1, every)
+    bounds = np.searchsorted(times[emitted], [*steps, record.T + 1]).tolist()
+    cells = coordinates(emitted, record.spec.d, record.spec.n).tolist()
+    for k, step in enumerate(steps):
+        _emit(json.dumps({"step": step, "cells": cells[bounds[k]:bounds[k + 1]]}))
     _emit(json.dumps({"T": record.T, "percolates": record.percolates}))
 
 
@@ -123,14 +125,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.snapshot is not None:
         _stream_snapshots(record, args.snapshot)
     elif args.format == "json":
-        _emit(json.dumps(record.to_json_dict(), indent=2))
+        write_record_json(record, sys.stdout)
+        _emit("\n")
     else:
         _emit(
             f"d={spec.d} n={spec.n} topology={spec.topology} r={spec.r}\n"
             f"initial cells: {len(initial)}\n"
             f"percolates: {record.percolates}\n"
             f"T: {record.T}\n"
-            f"infected: {sum(1 for t in record.times if t >= 0)} / {spec.size}"
+            f"infected: {np.count_nonzero(record.times_array >= 0)} / {spec.size}"
         )
     if args.expect_percolates and not record.percolates:
         return 1

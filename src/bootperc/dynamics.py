@@ -17,12 +17,17 @@ topology only.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .lattice import Cell, LatticeSpec, cell_at, cell_index, neighbor_table, neighbors
+from .lattice import Cell, LatticeSpec, cell_at, cell_index, coordinates, neighbor_table, neighbors
+
+# Rows :func:`write_record_json` formats per write: a few MB of text, so the
+# document is never held whole.
+_WRITE_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -111,10 +116,10 @@ class CellSet:
         return iter(_index_array(self).tolist())
 
     def __iter__(self) -> Iterator[Cell]:
-        return (cell_at(i, self.d, self.n) for i in self.indices())
+        return iter(self.cells())
 
     def cells(self) -> list[Cell]:
-        return list(self)
+        return list(map(tuple, self.to_coord_lists()))
 
     def issubset(self, other: "CellSet") -> bool:
         self._check_shape(other)
@@ -146,10 +151,10 @@ class CellSet:
     # -- serialization -----------------------------------------------------
 
     def to_text(self) -> str:
-        return "\n".join(" ".join(str(v) for v in cell) for cell in self)
+        return _fill(" ".join(["%d"] * self.d), "\n", coordinates(_index_array(self), self.d, self.n))
 
     def to_coord_lists(self) -> list[list[int]]:
-        return [list(cell) for cell in self]
+        return coordinates(_index_array(self), self.d, self.n).tolist()
 
 
 class AuditEvent(NamedTuple):
@@ -160,36 +165,72 @@ class AuditEvent(NamedTuple):
     infected_neighbors: int
 
 
-@dataclass
+@dataclass(eq=False)
 class RunRecord:
-    """Full trajectory of one synchronous run.
+    """Full trajectory of one synchronous run, held as integer columns.
 
-    ``times[i]`` is the infection round of the cell with linear index ``i``
-    (0 for initially infected, -1 for never infected).  ``T`` is the last
-    round in which anything new got infected; a closed initial set, the empty
-    set included, has ``T = 0``.
+    ``times_array[i]`` is the infection round of the cell with linear index
+    ``i`` (0 for initially infected, -1 for never infected).  ``T`` is the
+    last round in which anything new got infected; a closed initial set, the
+    empty set included, has ``T = 0``.  ``audit_array`` has one row
+    ``(cell index, step, infected neighbours)`` per infection, in event
+    order.  Sequences passed for either are converted to int64 arrays; the
+    list views :attr:`times` and :attr:`audit` are built on demand.
     """
 
     spec: LatticeSpec
     initial: CellSet
-    times: list[int]
+    times_array: np.ndarray
     T: int
     percolates: bool
     perimeter_trace: list[int] | None = None
-    audit: list[AuditEvent] | None = None
+    audit_array: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        self.times_array = np.asarray(self.times_array, dtype=np.int64)
+        if self.audit_array is not None:
+            self.audit_array = np.asarray(self.audit_array, dtype=np.int64).reshape(-1, 3)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunRecord):
+            return NotImplemented
+        a, b = self.audit_array, other.audit_array
+        return (
+            (self.spec, self.initial, self.T, self.percolates, self.perimeter_trace)
+            == (other.spec, other.initial, other.T, other.percolates, other.perimeter_trace)
+            and np.array_equal(self.times_array, other.times_array)
+            and (a is None) == (b is None)
+            and (a is None or np.array_equal(a, b))
+        )
+
+    @property
+    def times(self) -> list[int]:
+        return self.times_array.tolist()
+
+    @property
+    def audit(self) -> list[AuditEvent] | None:
+        if self.audit_array is None:
+            return None
+        cells, steps, counts = self._audit_lists()
+        return list(map(AuditEvent, map(tuple, cells), steps, counts))
+
+    def _audit_lists(self) -> tuple[list[list[int]], list[int], list[int]]:
+        """The audit's cell coordinates, steps and counts, as lists of Python ints."""
+        steps, counts = self.audit_array[:, 1:].T.tolist()
+        return coordinates(self.audit_array[:, 0], self.spec.d, self.spec.n).tolist(), steps, counts
 
     def time_of(self, cell: Cell) -> int | None:
         """Infection round of a cell, or None if it never gets infected."""
-        t = self.times[cell_index(cell, self.spec.d, self.spec.n)]
+        t = int(self.times_array[cell_index(cell, self.spec.d, self.spec.n)])
         return None if t < 0 else t
 
     def closure(self) -> CellSet:
-        return CellSet._from_mask(self.spec.d, self.spec.n, np.asarray(self.times) >= 0)
+        return CellSet._from_mask(self.spec.d, self.spec.n, self.times_array >= 0)
 
     def newly_infected(self, step: int) -> list[Cell]:
         """Cells whose infection round equals ``step`` (ascending index order)."""
-        d, n = self.spec.d, self.spec.n
-        return [cell_at(i, d, n) for i, t in enumerate(self.times) if t == step]
+        coords = coordinates(np.flatnonzero(self.times_array == step), self.spec.d, self.spec.n)
+        return list(map(tuple, coords.tolist()))
 
     def to_json_dict(self) -> dict:
         out = {
@@ -200,16 +241,65 @@ class RunRecord:
             "initial": self.initial.to_coord_lists(),
             "T": self.T,
             "percolates": self.percolates,
-            "times": list(self.times),
+            "times": self.times,
         }
         if self.perimeter_trace is not None:
             out["perimeter_trace"] = list(self.perimeter_trace)
-        if self.audit is not None:
+        if self.audit_array is not None:
             out["audit"] = [
-                {"cell": list(ev.cell), "step": ev.step, "infected_neighbors": ev.infected_neighbors}
-                for ev in self.audit
+                {"cell": c, "step": s, "infected_neighbors": k} for c, s, k in zip(*self._audit_lists())
             ]
         return out
+
+
+def write_record_json(record: RunRecord, out: TextIO) -> None:
+    """Write ``json.dumps(record.to_json_dict(), indent=2)`` to ``out``, from the columns.
+
+    Scalars go through :func:`json.dumps`.  Every list is filled into the
+    indent-2 layout from a flat ``tolist()`` of its int columns, one
+    ``%``-template per row, a block of rows at a time, so no per-element
+    Python objects are encoded and the document is never held whole.
+    """
+    spec, d = record.spec, record.spec.d
+    coord = ",\n      ".join(["%d"] * d)
+    out.write(
+        f'{{\n  "d": {d},\n  "n": {spec.n},\n  "topology": {json.dumps(spec.topology)},\n'
+        f'  "r": {spec.r},\n  "initial": '
+    )
+    _write_list(out, f"[\n      {coord}\n    ]", coordinates(_index_array(record.initial), d, spec.n))
+    out.write(f',\n  "T": {record.T},\n  "percolates": {json.dumps(record.percolates)},\n  "times": ')
+    _write_list(out, "%d", record.times_array)
+    if record.perimeter_trace is not None:
+        out.write(',\n  "perimeter_trace": ')
+        _write_list(out, "%d", np.array(record.perimeter_trace, dtype=np.int64))
+    if record.audit_array is not None:
+        events = record.audit_array
+        cell = ",\n        ".join(["%d"] * d)
+        out.write(',\n  "audit": ')
+        _write_list(
+            out,
+            f'{{\n      "cell": [\n        {cell}\n      ],\n      "step": %d,\n      "infected_neighbors": %d\n    }}',
+            np.column_stack((coordinates(events[:, 0], d, spec.n), events[:, 1:])),
+        )
+    out.write("\n}")
+
+
+def _write_list(out: TextIO, template: str, rows: np.ndarray) -> None:
+    """Write a top-level indent-2 list, one ``template`` per row of an int table; ``[]`` if empty."""
+    if not len(rows):
+        out.write("[]")
+        return
+    out.write("[\n    ")
+    for start in range(0, len(rows), _WRITE_ROWS):
+        if start:
+            out.write(",\n    ")
+        out.write(_fill(template, ",\n    ", rows[start : start + _WRITE_ROWS]))
+    out.write("\n  ]")
+
+
+def _fill(template: str, sep: str, rows: np.ndarray) -> str:
+    """One ``template`` per row of an int table, joined with ``sep``."""
+    return sep.join([template] * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def _index_array(cells: CellSet) -> np.ndarray:
@@ -252,7 +342,9 @@ def run(
     times[batch] = 0
     counts = np.zeros(size, dtype=np.int64)
     trace = [perimeter(spec, initial)] if record_trace else None
-    events: list[AuditEvent] | None = [] if audit else None
+    # each round's new cells and their counts; the step column is read from times
+    crossed_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    count_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     infected_count = len(batch)
 
     t = 0
@@ -267,9 +359,9 @@ def run(
         t += 1
         times[crossed] = t
         crossed_counts = counts[crossed]
-        if events is not None:
-            for i, c in zip(crossed.tolist(), crossed_counts.tolist()):
-                events.append(AuditEvent(cell_at(i, spec.d, spec.n), t, c))
+        if audit:
+            crossed_parts.append(crossed)
+            count_parts.append(crossed_counts)
         if trace is not None:
             # the new cells add 2d each, less both ends of every edge to an
             # earlier cell (their counts) and to one another (inside)
@@ -278,14 +370,18 @@ def run(
         infected_count += len(crossed)
         batch = crossed
 
+    events = None
+    if audit:
+        cells = np.concatenate(crossed_parts)
+        events = np.column_stack((cells, times[cells], np.concatenate(count_parts)))
     return RunRecord(
         spec=spec,
         initial=initial,
-        times=times[:size].tolist(),
+        times_array=times[:size],
         T=t,
         percolates=infected_count == size,
         perimeter_trace=trace,
-        audit=events,
+        audit_array=events,
     )
 
 
@@ -348,11 +444,13 @@ def run_naive(
     return RunRecord(
         spec=spec,
         initial=initial,
-        times=times,
+        times_array=times,
         T=t,
         percolates=all(x >= 0 for x in times),
         perimeter_trace=trace,
-        audit=events,
+        audit_array=None
+        if events is None
+        else [(cell_index(ev.cell, d, n), ev.step, ev.infected_neighbors) for ev in events],
     )
 
 

@@ -31,7 +31,7 @@ def verify_strip_fill(d: int, n: int, s: int) -> bool:
     """
     ctx = StripContext(d, n, s)  # validates the (d, n, s) combination
     seeds = level_set(d, n, ctx.lower_level) | level_set(d, n, ctx.upper_level)
-    times = np.asarray(run(LatticeSpec(d, n, "grid", d), seeds).times)
+    times = run(LatticeSpec(d, n, "grid", d), seeds).times_array
     lowest_strip = -(-d // n)
     first_level = d if s == lowest_strip else ctx.lower_level + 1
     level = levels(d, n)
@@ -89,7 +89,7 @@ def verify_separation(d: int, n: int) -> SeparationReport:
     record = run(LatticeSpec(d, n, "grid", d), seeds)
     level = levels(d, n)
     totals = np.bincount(level, minlength=high + 1).tolist()
-    infected = np.bincount(level[np.asarray(record.times) >= 0], minlength=high + 1).tolist()
+    infected = np.bincount(level[record.times_array >= 0], minlength=high + 1).tolist()
 
     fills = [
         LevelFill(lv, totals[lv], infected[lv], totals[lv] > 0 and lv - low > 1 and high - lv > 1)

@@ -99,6 +99,11 @@ def cell_at(index: int, d: int, n: int) -> Cell:
     return tuple(reversed(coords))
 
 
+def coordinates(indices: np.ndarray, d: int, n: int) -> np.ndarray:
+    """(len(indices), d) table of the 1-based cells at linear indices: :func:`cell_at` for an array."""
+    return np.stack(np.unravel_index(indices, (n,) * d), axis=1) + 1
+
+
 def cell_to_index(cell: Cell, spec: LatticeSpec) -> int:
     return cell_index(cell, spec.d, spec.n)
 

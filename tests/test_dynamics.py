@@ -1,3 +1,4 @@
+import io
 import json
 import random
 
@@ -6,7 +7,7 @@ import pytest
 
 from bootperc import dynamics, lattice
 from bootperc.constructions import hyperplane_union
-from bootperc.dynamics import CellSet, closure, perimeter, run, run_naive
+from bootperc.dynamics import CellSet, closure, perimeter, run, run_naive, write_record_json
 from bootperc.lattice import LatticeSpec, neighbor_table
 
 
@@ -292,3 +293,56 @@ def test_engines_agree_in_four_and_five_dimensions(d, n, topology, r, initial):
     assert run(spec, seed, audit=True, record_trace=trace) == run_naive(
         spec, seed, audit=True, record_trace=trace
     )
+
+
+# -- the columnar record and its indent-2 writer --------------------------------
+
+
+def _written(rec):
+    out = io.StringIO()
+    write_record_json(rec, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("spec", [LatticeSpec(1, 7), LatticeSpec(3, 3), LatticeSpec(4, 3, "torus")])
+@pytest.mark.parametrize("initial", ["empty", "full"])
+def test_writer_on_closed_initial_sets(spec, initial):
+    seed = CellSet.empty(spec.d, spec.n) if initial == "empty" else CellSet.full(spec.d, spec.n)
+    rec = run(spec, seed, audit=True, record_trace=spec.topology == "grid")
+    assert rec.T == 0 and rec.audit == []
+    text = _written(rec)
+    assert text == json.dumps(rec.to_json_dict(), indent=2)
+    assert '"audit": []' in text and ('"initial": []' in text) == (initial == "empty")
+
+
+def test_writer_splits_lists_into_blocks(monkeypatch):
+    spec = LatticeSpec(3, 4)
+    rec = run(spec, hyperplane_union(3, 4), audit=True, record_trace=True)
+    whole = _written(rec)
+    for rows in (1, 2, 5):
+        monkeypatch.setattr(dynamics, "_WRITE_ROWS", rows)
+        assert _written(rec) == whole == json.dumps(rec.to_json_dict(), indent=2)
+
+
+def test_audit_columns_read_as_the_oracles_events():
+    for spec, seed in [
+        (LatticeSpec(3, 4), hyperplane_union(3, 4)),
+        (LatticeSpec(2, 5, "torus"), cellset(2, 5, (1, 1), (2, 3), (4, 4), (5, 2))),
+        (LatticeSpec(4, 3, r=2), cellset(4, 3, (1, 1, 1, 1), (3, 3, 3, 3))),
+    ]:
+        rec = run(spec, seed, audit=True)
+        assert rec.audit == run_naive(spec, seed, audit=True).audit
+        assert rec.audit_array.dtype == np.int64 and rec.audit_array.shape == (len(rec.audit), 3)
+        d, n = spec.d, spec.n
+        index, step, count = rec.audit_array.T.tolist()
+        assert [ev.cell for ev in rec.audit] == [lattice.cell_at(i, d, n) for i in index]
+        assert step == [rec.times[i] for i in index]
+        assert [ev.infected_neighbors for ev in rec.audit] == count
+
+
+def test_times_are_one_int64_column_with_a_list_view():
+    spec = LatticeSpec(2, 4)
+    rec = run(spec, cellset(2, 4, (1, 1), (4, 4)))
+    assert rec.times_array.dtype == np.int64 and rec.times_array.shape == (16,)
+    assert rec.times == rec.times_array.tolist() and type(rec.times[0]) is int
+    assert rec == run_naive(spec, cellset(2, 4, (1, 1), (4, 4)))

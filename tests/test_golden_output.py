@@ -77,3 +77,31 @@ def test_stdout_bytes_are_pinned(capsys, name):
     assert main(argv.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# `simulate --format json` output of the record writer, pinned before it
+# replaced json.dumps(..., indent=2); "{empty}" stands for a file with no cells
+RECORD_GOLDEN = {
+    "simulate-hyperplanes-d4n6-trace-audit": (
+        "simulate --d 4 --n 6 --construction hyperplanes --trace --audit",
+        0, "52da7d629cabd8b48d17e686428d5f1d5f72b9075d28043261a5887ad189e4ef",
+    ),
+    "simulate-torus3-n5-audit": (
+        "simulate --d 3 --n 5 --construction torus3 --topology torus --audit",
+        0, "5bb5c61d8521883c18c33a321ed95454863c2e75cf94ac6bf5959d569e9662bd",
+    ),
+    "simulate-empty-initial-trace-audit": (
+        "simulate --d 3 --n 4 --initial {empty} --trace --audit",
+        0, "38ac47faa740bb4ef8037aa54296fc50bda36498dd4b3605528e4eec01c70278",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_GOLDEN))
+def test_record_writer_bytes_are_pinned(capsys, tmp_path, name):
+    argv, code, digest = RECORD_GOLDEN[name]
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    assert main(argv.format(empty=empty).split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,8 +1,11 @@
 """Randomised invariant checks (hypothesis)."""
 
+import io
+import json
+
 from hypothesis import given, settings, strategies as st
 
-from bootperc.dynamics import CellSet, closure, run
+from bootperc.dynamics import CellSet, closure, run, write_record_json
 from bootperc.extremal import colex_combinations
 from bootperc.lattice import LatticeSpec, cell_to_index, index_to_cell
 
@@ -77,3 +80,34 @@ def test_colex_is_a_strict_total_order(n, k):
     ranked = [tuple(reversed(t)) for t in seq]
     assert ranked == sorted(ranked)
     assert len(set(seq)) == len(seq)
+
+
+# the largest side per dimension that keeps a lattice at or below about 100 cells
+_RECORD_SIDES = {1: 12, 2: 8, 3: 4, 4: 3}
+
+
+@st.composite
+def run_records(draw):
+    """One run on a grid or torus of dimension 1..4, any threshold, with the
+    initial set empty, full or random, and the audit and trace each on or off."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    topology = draw(st.sampled_from(["grid", "torus"]))
+    n = draw(st.integers(min_value=3 if topology == "torus" else 1, max_value=_RECORD_SIDES[d]))
+    spec = LatticeSpec(d, n, topology, draw(st.integers(min_value=1, max_value=2 * d)))
+    kind = draw(st.sampled_from(["empty", "full", "random"]))
+    if kind == "empty":
+        initial = CellSet.empty(d, n)
+    elif kind == "full":
+        initial = CellSet.full(d, n)
+    else:
+        initial = CellSet.from_indices(d, n, draw(st.sets(st.integers(min_value=0, max_value=spec.size - 1))))
+    trace = topology == "grid" and draw(st.booleans())
+    return run(spec, initial, audit=draw(st.booleans()), record_trace=trace)
+
+
+@given(run_records())
+@settings(max_examples=150, deadline=None)
+def test_record_writer_matches_json_dumps(rec):
+    out = io.StringIO()
+    write_record_json(rec, out)
+    assert out.getvalue() == json.dumps(rec.to_json_dict(), indent=2)
