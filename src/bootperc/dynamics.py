@@ -420,7 +420,7 @@ def run_naive(
         return total
 
     trace: list[int] | None = [full_perimeter()] if record_trace else None
-    events: list[AuditEvent] | None = [] if audit else None
+    events: list[tuple[int, int, int]] | None = [] if audit else None
 
     t = 0
     while healthy:
@@ -433,8 +433,7 @@ def run_naive(
             break
         t += 1
         if events is not None:
-            for i, cnt in newly:
-                events.append(AuditEvent(cell_at(i, d, n), t, cnt))
+            events.extend((i, t, cnt) for i, cnt in newly)
         for i, _ in newly:
             times[i] = t
         healthy = [i for i in healthy if times[i] < 0]
@@ -448,9 +447,7 @@ def run_naive(
         T=t,
         percolates=all(x >= 0 for x in times),
         perimeter_trace=trace,
-        audit_array=None
-        if events is None
-        else [(cell_index(ev.cell, d, n), ev.step, ev.infected_neighbors) for ev in events],
+        audit_array=events,
     )
 
 

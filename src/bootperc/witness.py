@@ -177,58 +177,38 @@ class WitnessDag:
         return "\n".join(f"{fmt(u)} -> {fmt(w)}" for u, w in self.edges())
 
 
+def _walk(nodes: dict[Cell, WitnessNode], root: Cell) -> tuple[list[Cell] | None, dict[Cell, int]]:
+    """One depth-first walk from ``root``: the first cycle met, or longest paths.
+
+    Returns ``(cycle, depth)``.  ``cycle`` runs from the first child found
+    already on the current path back to it, or is None.  Without a cycle,
+    ``depth`` maps every reachable label to its longest path to a leaf, in
+    edges, set as the label leaves the path; labels on the path hold -1.
+    """
+    depth = {root: -1}
+    path = [root]
+    pending = [iter(nodes[root].children or ())]
+    while pending:
+        for w in pending[-1]:
+            seen = depth.get(w)
+            if seen is None:
+                depth[w] = -1
+                path.append(w)
+                pending.append(iter(nodes[w].children or ()))
+                break
+            if seen < 0:
+                return path[path.index(w) :] + [w], depth
+        else:  # every child is done: the label leaves the path
+            pending.pop()
+            u = path.pop()
+            children = nodes[u].children
+            depth[u] = 1 + max(depth[w] for w in children) if children else 0
+    return None, depth
+
+
 def find_cycle(nodes: dict[Cell, WitnessNode], root: Cell) -> list[Cell] | None:
     """Depth-first search with on-path marking; returns one cycle or None."""
-    on_path: set[Cell] = set()
-    path: list[Cell] = []
-    done: set[Cell] = set()
-    stack: list[tuple[Cell, int]] = [(root, 0)]
-    while stack:
-        u, next_child = stack[-1]
-        if next_child == 0:
-            if u in done:
-                stack.pop()
-                continue
-            on_path.add(u)
-            path.append(u)
-        children = nodes[u].children or ()
-        if next_child < len(children):
-            stack[-1] = (u, next_child + 1)
-            w = children[next_child]
-            if w in on_path:
-                return path[path.index(w) :] + [w]
-            if w not in done:
-                stack.append((w, 0))
-        else:
-            stack.pop()
-            done.add(u)
-            on_path.discard(u)
-            path.pop()
-    return None
-
-
-def _depths_from(nodes: dict[Cell, WitnessNode], root: Cell) -> dict[Cell, int]:
-    # longest path to a leaf, iterative post-order (the DAG is already
-    # known to be acyclic when this runs)
-    depth: dict[Cell, int] = {}
-    stack = [root]
-    while stack:
-        u = stack[-1]
-        if u in depth:
-            stack.pop()
-            continue
-        children = nodes[u].children
-        if not children:
-            depth[u] = 0
-            stack.pop()
-            continue
-        pending = [w for w in children if w not in depth]
-        if pending:
-            stack.extend(pending)
-        else:
-            depth[u] = 1 + max(depth[w] for w in children)
-            stack.pop()
-    return depth
+    return _walk(nodes, root)[0]
 
 
 def build_witness(v: Cell, ctx: StripContext) -> WitnessDag:
@@ -236,8 +216,8 @@ def build_witness(v: Cell, ctx: StripContext) -> WitnessDag:
 
     Active labels are expanded first-in-first-out; since the infectors of a
     label are a pure function of the label, the result does not depend on
-    the expansion order.  A cycle check runs defensively before depths are
-    computed.
+    the expansion order.  One depth-first walk then checks, defensively, that
+    the DAG has no cycle and computes its depth.
     """
     off = level_offset(v, ctx)
     if off == 0 or off == ctx.n:
@@ -257,10 +237,10 @@ def build_witness(v: Cell, ctx: StripContext) -> WitnessDag:
         for w in kids:
             if w not in nodes:
                 queue.append(w)
-    cycle = find_cycle(nodes, v)
+    cycle, depth = _walk(nodes, v)
     if cycle is not None:
         raise WitnessCycleError(" -> ".join(str(u) for u in cycle))
-    return WitnessDag(root=v, ctx=ctx, nodes=nodes, depth=_depths_from(nodes, v)[v])
+    return WitnessDag(root=v, ctx=ctx, nodes=nodes, depth=depth[v])
 
 
 def iter_strip_cells(ctx: StripContext) -> Iterator[Cell]:

@@ -200,10 +200,16 @@ def test_min_size_budget_refusal():
 
 
 def test_min_size_symmetry_cross_check():
-    for spec in (LatticeSpec(2, 2), LatticeSpec(3, 2), LatticeSpec(2, 3, "torus")):
-        plain = min_percolating_size(spec, spec.size)
-        pruned = min_percolating_size(spec, spec.size, symmetry=True)
+    # every image of a percolating set percolates, so the colex-first
+    # percolating set is the colex minimum of its orbit: canonical, and found
+    # by both searches
+    cases = [(LatticeSpec(2, 2), 4), (LatticeSpec(3, 2), 8), (LatticeSpec(2, 3, "torus"), 9),
+             (LatticeSpec(2, 4), 16), (LatticeSpec(2, 6), 6)]
+    for spec, max_size in cases:
+        plain = min_percolating_size(spec, max_size)
+        pruned = min_percolating_size(spec, max_size, symmetry=True)
         assert pruned.optimum == plain.optimum
+        assert pruned.witness == plain.witness
         assert pruned.symmetry_pruned and not plain.symmetry_pruned
         assert pruned.instances_examined <= plain.instances_examined
         assert run(spec, pruned.witness).percolates

