@@ -25,7 +25,7 @@ from .extremal import (
     min_percolation_time,
 )
 from .lattice import LatticeSpec, coordinates
-from .witness import StripContext, build_witness
+from .witness import StripContext, build_witness, write_witness_json
 
 BUDGET_ENV_VAR = "BOOTPERC_BUDGET"
 
@@ -153,7 +153,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
     ctx = StripContext(args.d, args.n, args.s)
     dag = build_witness(args.cell, ctx)
     if args.format == "json":
-        _emit(json.dumps(dag.to_json_dict(), indent=2))
+        write_witness_json(dag, sys.stdout)
+        _emit("\n")
     elif args.format == "dot":
         _emit(dag.to_edge_list())
     else:

@@ -25,8 +25,8 @@ import numpy as np
 
 from .lattice import Cell, LatticeSpec, cell_at, cell_index, coordinates, neighbor_table, neighbors
 
-# Rows :func:`write_record_json` formats per write: a few MB of text, so the
-# document is never held whole.
+# Rows :func:`_write_list` formats per write: a few MB of text, so a record
+# or witness document is never held whole.
 _WRITE_ROWS = 1 << 16
 
 
@@ -79,7 +79,28 @@ class CellSet:
 
     @classmethod
     def from_text(cls, text: str, d: int, n: int) -> "CellSet":
-        """Parse the one-cell-per-line format: d space-separated 1-based coordinates."""
+        """Parse the one-cell-per-line format: d space-separated 1-based coordinates.
+
+        Blank lines are skipped.  Every token goes through one ``int`` call
+        and one :func:`np.ravel_multi_index` indexes the whole table, raising
+        on any coordinate out of range.  Any bad input is handed to
+        :meth:`_from_lines`, which raises the first error in line order,
+        structural errors (a bad token, a wrong coordinate count) on any
+        line before range errors.
+        """
+        if not set(map(len, map(str.split, text.splitlines()))) - {0, d}:
+            try:
+                coords = np.array(list(map(int, text.split())), dtype=np.int64).reshape(-1, d)
+                mask = np.zeros(n**d, dtype=bool)
+                mask[np.ravel_multi_index(tuple(coords.T - 1), (n,) * d)] = True
+                return cls._from_mask(d, n, mask)
+            except (ValueError, OverflowError):
+                pass
+        return cls._from_lines(text, d, n)
+
+    @classmethod
+    def _from_lines(cls, text: str, d: int, n: int) -> "CellSet":
+        """:meth:`from_text` one line and one cell at a time, reporting the first error."""
         cells = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
@@ -256,9 +277,9 @@ def write_record_json(record: RunRecord, out: TextIO) -> None:
     """Write ``json.dumps(record.to_json_dict(), indent=2)`` to ``out``, from the columns.
 
     Scalars go through :func:`json.dumps`.  Every list is filled into the
-    indent-2 layout from a flat ``tolist()`` of its int columns, one
-    ``%``-template per row, a block of rows at a time, so no per-element
-    Python objects are encoded and the document is never held whole.
+    indent-2 layout from its int columns by :func:`_fill`, one template per
+    row, a block of rows at a time, so no per-element Python objects are
+    encoded and the document is never held whole.
     """
     spec, d = record.spec, record.spec.d
     coord = ",\n      ".join(["%d"] * d)
@@ -284,8 +305,13 @@ def write_record_json(record: RunRecord, out: TextIO) -> None:
     out.write("\n}")
 
 
-def _write_list(out: TextIO, template: str, rows: np.ndarray) -> None:
-    """Write a top-level indent-2 list, one ``template`` per row of an int table; ``[]`` if empty."""
+def _write_list(
+    out: TextIO, template: str | tuple[str, ...], rows: np.ndarray, kinds: np.ndarray | None = None
+) -> None:
+    """Write a top-level indent-2 list, one template per row of an int table; ``[]`` if empty.
+
+    ``template`` and ``kinds`` are as in :func:`_fill`.
+    """
     if not len(rows):
         out.write("[]")
         return
@@ -293,13 +319,49 @@ def _write_list(out: TextIO, template: str, rows: np.ndarray) -> None:
     for start in range(0, len(rows), _WRITE_ROWS):
         if start:
             out.write(",\n    ")
-        out.write(_fill(template, ",\n    ", rows[start : start + _WRITE_ROWS]))
+        block = slice(start, start + _WRITE_ROWS)
+        out.write(_fill(template, ",\n    ", rows[block], 0 if kinds is None else kinds[block]))
     out.write("\n  ]")
 
 
-def _fill(template: str, sep: str, rows: np.ndarray) -> str:
-    """One ``template`` per row of an int table, joined with ``sep``."""
-    return sep.join([template] * len(rows)) % tuple(rows.ravel().tolist())
+def _fill(template: str | tuple[str, ...], sep: str, rows: np.ndarray, kinds: np.ndarray | int = 0) -> str:
+    """One ``%d`` template per row of an int table, joined with ``sep``.
+
+    Each distinct value becomes a string once.  A table then holds, for
+    every column and value, that string with the template text around it,
+    so the rows only index it and one ``join`` writes them all.  With a
+    tuple of templates row i uses ``template[kinds[i]]``; a template with
+    fewer ``%d`` than the table has columns ignores the trailing columns.
+    """
+    if not len(rows):
+        return ""
+    templates = (template,) if isinstance(template, str) else template
+    rows = rows.reshape(len(rows), -1)
+    strs, codes = _value_strings(rows)
+    width = rows.shape[1]
+    table = np.full((len(templates), width, len(strs)), "", dtype=object)
+    for columns, tpl in zip(table, templates):
+        pieces = tpl.split("%d")
+        heads = [pieces[0]] + [""] * (len(pieces) - 2)
+        tails = pieces[1:]
+        tails[-1] += sep
+        for j, (head, tail) in enumerate(zip(heads, tails)):
+            columns[j] = [head + s + tail for s in strs]
+    text = "".join(table[np.reshape(kinds, (-1, 1)), np.arange(width), codes].ravel().tolist())
+    return text[: len(text) - len(sep)]
+
+
+def _value_strings(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct values of an int array as strings, and each entry's position among them.
+
+    A value range no wider than the array's length is listed whole;
+    otherwise :func:`np.unique` finds the values.
+    """
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo < len(values):
+        return list(map(str, range(lo, hi + 1))), values - lo
+    distinct, positions = np.unique(values, return_inverse=True)
+    return list(map(str, distinct.tolist())), positions.reshape(values.shape)
 
 
 def _index_array(cells: CellSet) -> np.ndarray:

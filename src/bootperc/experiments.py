@@ -5,7 +5,6 @@ and percolation-time sweeps with quadratic least-squares fits.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -211,6 +210,9 @@ def sweep_time(
                 f"n={n} needs {n**d} cells, over the cell budget of {cell_budget}"
             )
     if parallelism > 1:
+        # imported here so that a process which starts no pool never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             rows = list(pool.map(_sweep_row, [d] * len(ns), ns, [construction] * len(ns)))
     else:

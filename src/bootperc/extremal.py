@@ -19,7 +19,6 @@ independent engine run before the result is handed back.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
@@ -290,6 +289,9 @@ def _chunk_results(
         for chunk in chunks:
             yield work(chunk, *args())
         return
+    # imported here so that a process which starts no pool never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=parallelism)
     try:
         in_flight: deque = deque()

@@ -25,8 +25,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, TextIO
 
+import numpy as np
+
+from .dynamics import _write_list
 from .lattice import Cell, check_cell, iter_level_cells
 
 
@@ -175,6 +178,37 @@ class WitnessDag:
             return ",".join(str(x) for x in cell)
 
         return "\n".join(f"{fmt(u)} -> {fmt(w)}" for u, w in self.edges())
+
+
+def write_witness_json(dag: WitnessDag, out: TextIO) -> None:
+    """Write ``json.dumps(dag.to_json_dict(), indent=2)`` to ``out``, one template per node.
+
+    Every node is a row of one int table: its label, its offset and the
+    coordinates of its d children (zeros for a leaf, which its template
+    ignores).  Leaves and internal nodes differ only in ``"children"``, so
+    two templates cover every node.
+    """
+    d = dag.ctx.d
+    label = ",\n        ".join(["%d"] * d)
+    head = f'{{\n      "label": [\n        {label}\n      ],\n      "t": %d,\n      "children": '
+    child = ",\n          ".join(["%d"] * d)
+    children = ",\n        ".join([f"[\n          {child}\n        ]"] * d)
+    templates = (head + "null\n    }", head + f"[\n        {children}\n      ]\n    }}")
+    nodes = dag.nodes.values()
+    no_children = ((0,) * d,) * d
+    rows = np.column_stack((
+        np.array(list(dag.nodes), dtype=np.int64).reshape(-1, d),
+        np.array([node.offset for node in nodes], dtype=np.int64),
+        np.array([node.children or no_children for node in nodes], dtype=np.int64).reshape(-1, d * d),
+    ))
+    kinds = np.array([node.children is not None for node in nodes], dtype=np.int64)
+    out.write('{\n  "root": ')
+    _write_list(out, "%d", np.array(dag.root, dtype=np.int64))
+    out.write(
+        f',\n  "s": {dag.ctx.s},\n  "n": {dag.ctx.n},\n  "d": {d},\n  "depth": {dag.depth},\n  "nodes": '
+    )
+    _write_list(out, templates, rows, kinds)
+    out.write("\n}")
 
 
 def _walk(nodes: dict[Cell, WitnessNode], root: Cell) -> tuple[list[Cell] | None, dict[Cell, int]]:

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import bootperc
 from bootperc.cli import main
 from bootperc.dynamics import run
 from bootperc.constructions import diagonal, hyperplane_union
@@ -80,6 +87,36 @@ def test_simulate_usage_errors(tmp_path, capsys):
     bad.write_text("1 2 3\n")
     code, _, err = invoke(capsys, "simulate", "--d", "2", "--n", "3", "--initial", str(bad))
     assert code == 2 and "error:" in err
+
+
+# stderr of a bad --initial file, byte for byte as the per-line parser wrote it
+BAD_INITIAL = [
+    (b"4 1 1\n1 1 1\n1 z 1\n", "error: line 3: not a coordinate list: '1 z 1'\n"),
+    (b"1 1 1\r\n2 2\r\n", "error: line 2: expected 3 coordinates, got 2\n"),
+    (b"1 1 1\n1 5 1\n", "error: coordinate 5 of cell (1, 5, 1) lies outside [1, 4]\n"),
+    (
+        b"1 1 1\n99999999999999999999999 1 1\n",
+        "error: coordinate 99999999999999999999999 of cell (99999999999999999999999, 1, 1) lies outside [1, 4]\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("content, stderr", BAD_INITIAL)
+def test_simulate_bad_initial_file_message(tmp_path, capsys, content, stderr):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    code, out, err = invoke(capsys, "simulate", "--d", "3", "--n", "4", "--initial", str(bad))
+    assert (code, out, err) == (2, "", stderr)
+
+
+def test_cli_import_loads_no_pool_modules():
+    # the process pool's modules load only when a search or sweep starts a pool
+    src = str(Path(bootperc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, bootperc.cli; print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_simulate_torus_trace_is_input_error(capsys):

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -62,13 +63,29 @@ def test_cellset_text_round_trip():
     assert a.to_text() == "1 2 3\n4 4 4"
 
 
+# full messages, as the per-line parser wrote them before the table parse
+PARSE_ERRORS = [
+    ("1 1\nx y\n", "line 2: not a coordinate list: 'x y'"),
+    ("1 1 1\n", "line 1: expected 2 coordinates, got 3"),
+    ("0 1\n", "coordinate 0 of cell (0, 1) lies outside [1, 3]"),
+    ("1 1\n2 3\n3 4\n", "coordinate 4 of cell (3, 4) lies outside [1, 3]"),
+    (
+        "1 1\n99999999999999999999999 1\n",
+        "coordinate 99999999999999999999999 of cell (99999999999999999999999, 1) lies outside [1, 3]",
+    ),
+    (
+        "-9223372036854775808 1\n",
+        "coordinate -9223372036854775808 of cell (-9223372036854775808, 1) lies outside [1, 3]",
+    ),
+    # a bad token on a later line is reported before a range error on line 1
+    ("4 1\n1 1\n1 z\n", "line 3: not a coordinate list: '1 z'"),
+]
+
+
 def test_cellset_from_text_rejects_garbage():
-    with pytest.raises(ValueError, match="line 2"):
-        CellSet.from_text("1 1\nx y\n", 2, 3)
-    with pytest.raises(ValueError, match="expected 2 coordinates"):
-        CellSet.from_text("1 1 1\n", 2, 3)
-    with pytest.raises(ValueError):
-        CellSet.from_text("0 1\n", 2, 3)  # coordinate out of range
+    for text, message in PARSE_ERRORS:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CellSet.from_text(text, 2, 3)
 
 
 def test_cellset_from_empty_text():

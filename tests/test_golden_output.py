@@ -77,6 +77,11 @@ GOLDEN = {
         "witness --d 3 --n 5 --s 2 --cell 4,2,2 --format dot",
         0, "846c48737b9bb2865028d647909b2aced199173552b514f4c51f81b9b6eaa586",
     ),
+    # the benchmark's witness job: 7,501 nodes, depth 33
+    "witness-json-d4n20": (
+        "witness --d 4 --n 20 --s 3 --cell 15,15,10,9",
+        0, "b77e24d0581b5b227a0e45681148a841c084cea6bc07bb28c84c314788e6be9e",
+    ),
     "witness-text": (
         "witness --d 4 --n 8 --s 2 --cell 5,3,3,2 --format text",
         0, "11051cfa86baa9664f1a4b2b49898c5ca39be1f561beaec876416c25463b11c2",
@@ -93,7 +98,8 @@ def test_stdout_bytes_are_pinned(capsys, name):
 
 
 # `simulate --format json` output of the record writer, pinned before it
-# replaced json.dumps(..., indent=2); "{empty}" stands for a file with no cells
+# replaced json.dumps(..., indent=2); "{empty}" stands for a file with no
+# cells and "{messy}" for MESSY_INITIAL
 RECORD_GOLDEN = {
     "simulate-hyperplanes-d4n6-trace-audit": (
         "simulate --d 4 --n 6 --construction hyperplanes --trace --audit",
@@ -107,7 +113,16 @@ RECORD_GOLDEN = {
         "simulate --d 3 --n 4 --initial {empty} --trace --audit",
         0, "38ac47faa740bb4ef8037aa54296fc50bda36498dd4b3605528e4eec01c70278",
     ),
+    # pinned before --initial was parsed as one table
+    "simulate-messy-initial-trace-audit": (
+        "simulate --d 3 --n 4 --initial {messy} --trace --audit",
+        0, "bae465caad50d5c88857d5a0623714d45f351e4554883fd420049ab28c47a29e",
+    ),
 }
+
+# blank and whitespace-only lines, CRLF endings, tabs, a leading "+", a
+# duplicate cell and no final newline
+MESSY_INITIAL = b"1 1 1\r\n\r\n  2\t3 4 \r\n\t\n1 1 1\n4 4 4\r\n+3 2 1\n \n2 2\t2"
 
 
 @pytest.mark.parametrize("name", sorted(RECORD_GOLDEN))
@@ -115,6 +130,8 @@ def test_record_writer_bytes_are_pinned(capsys, tmp_path, name):
     argv, code, digest = RECORD_GOLDEN[name]
     empty = tmp_path / "empty.txt"
     empty.write_text("")
-    assert main(argv.format(empty=empty).split()) == code
+    messy = tmp_path / "messy.txt"
+    messy.write_bytes(MESSY_INITIAL)
+    assert main(argv.format(empty=empty, messy=messy).split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -3,11 +3,12 @@
 import io
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bootperc.dynamics import CellSet, closure, run, write_record_json
 from bootperc.extremal import colex_combinations
 from bootperc.lattice import LatticeSpec, cell_to_index, index_to_cell
+from bootperc.witness import StripContext, build_witness, iter_strip_cells, write_witness_json
 
 
 small_lattices = st.sampled_from(
@@ -111,3 +112,92 @@ def test_record_writer_matches_json_dumps(rec):
     out = io.StringIO()
     write_record_json(rec, out)
     assert out.getvalue() == json.dumps(rec.to_json_dict(), indent=2)
+
+
+def parse_lines(text, d, n):
+    """The one-line-at-a-time parser that ``CellSet.from_text`` replaced, kept as its oracle."""
+    cells = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            coords = tuple(int(tok) for tok in stripped.split())
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: not a coordinate list: {line!r}") from exc
+        if len(coords) != d:
+            raise ValueError(f"line {lineno}: expected {d} coordinates, got {len(coords)}")
+        cells.append(coords)
+    return CellSet.from_cells(d, n, cells)
+
+
+def _outcome(parse, text, d, n):
+    try:
+        return parse(text, d, n)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def cell_texts(draw):
+    """Cell files for [n]^d: valid rows, with "+" signs, tabs and
+    duplicates, among blank and whitespace-only lines, with CRLF or LF
+    endings; now and then a row with a coordinate out of range (huge ones
+    included), a token too many or too few, or a token that is not an
+    integer."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=5))
+    coord = st.integers(min_value=1, max_value=n).map(str)
+    coord = st.one_of(coord, coord.map(lambda t: "+" + t))
+    outside = st.sampled_from(["0", "-1", str(n + 1), "10" * 12, "-" + "9" * 19])
+    junk = st.sampled_from(["x", "1.5", "--1", "0x1", "1e2"])
+    rows = {
+        "row": st.lists(coord, min_size=d, max_size=d),
+        "range": st.lists(st.one_of(coord, outside), min_size=d, max_size=d),
+        "count": st.lists(coord, min_size=d + 1, max_size=d + 1) | st.lists(coord, min_size=d - 1, max_size=d - 1),
+        "junk": st.lists(st.one_of(coord, junk), min_size=1, max_size=d + 1),
+    }
+    gap = st.sampled_from([" ", "  ", "\t", " \t"])
+    kinds = ["row"] * 6 + ["blank", "space", "repeat", "range", "count", "junk"]
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        if kind in rows:
+            toks = draw(rows[kind])
+            lines.append(draw(st.sampled_from(["", " ", "\t"])) + "".join(t + draw(gap) for t in toks).rstrip())
+        elif kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(gap))
+        elif lines:
+            lines.append(draw(st.sampled_from(lines)))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, d, n
+
+
+@given(cell_texts())
+@settings(max_examples=300, deadline=None)
+def test_cellset_from_text_matches_line_parser(case):
+    text, d, n = case
+    assert _outcome(CellSet.from_text, text, d, n) == _outcome(parse_lines, text, d, n)
+
+
+@st.composite
+def strip_cells(draw):
+    """A cell strictly inside a strip of [n]^d, d <= 4 and n <= 9, any valid strip index."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=2, max_value=9))
+    ctx = StripContext(d, n, draw(st.integers(min_value=-(-d // n), max_value=d)))
+    cells = list(iter_strip_cells(ctx))
+    assume(cells)  # a strip below level d, e.g. strip 2 of [2]^4, has no cells
+    return draw(st.sampled_from(cells)), ctx
+
+
+@given(strip_cells())
+@settings(max_examples=100, deadline=None)
+def test_witness_writer_matches_json_dumps(case):
+    dag = build_witness(*case)
+    out = io.StringIO()
+    write_witness_json(dag, out)
+    assert out.getvalue() == json.dumps(dag.to_json_dict(), indent=2)
