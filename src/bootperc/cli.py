@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 domain negative (a check came back false, or
 --expect-percolates was not met), 2 usage or input error, 3 resource budget
-exceeded.  The environment variable BOOTPERC_BUDGET overrides the default
-search budget when --budget is not given.
+exceeded or out of memory.  The environment variable BOOTPERC_BUDGET
+overrides the default search budget when --budget is not given.
 """
 
 from __future__ import annotations
@@ -318,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print("; ".join(filter(None, ["error: out of memory", str(exc)])), file=sys.stderr)
         return 3
     except NoPercolatingSetError as exc:
         print(str(exc), file=sys.stderr)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .constructions import build_construction, level_set
 from .dynamics import run
-from .extremal import BudgetExceededError
+from .extremal import BudgetExceededError, ordered_results
 from .lattice import LatticeSpec, levels
 from .witness import StripContext
 
@@ -113,17 +113,14 @@ class SweepRow:
     runtime_s: float
     within_bound: bool  # T <= (d+2)*n**2 + n
 
-    def to_json_dict(self, include_runtime: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "n": self.n,
             "T": self.T,
             "percolates": self.percolates,
             "cells": self.cells,
             "within_bound": self.within_bound,
         }
-        if include_runtime:
-            out["runtime_s"] = self.runtime_s
-        return out
 
 
 @dataclass
@@ -140,11 +137,11 @@ class SweepTable:
     rows: list[SweepRow]
     fit: dict | None = None
 
-    def to_json_dict(self, include_runtime: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "d": self.d,
             "construction": self.construction,
-            "rows": [row.to_json_dict(include_runtime) for row in self.rows],
+            "rows": [row.to_json_dict() for row in self.rows],
             "fit": self.fit,
         }
 
@@ -209,12 +206,5 @@ def sweep_time(
             raise BudgetExceededError(
                 f"n={n} needs {n**d} cells, over the cell budget of {cell_budget}"
             )
-    if parallelism > 1:
-        # imported here so that a process which starts no pool never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            rows = list(pool.map(_sweep_row, [d] * len(ns), ns, [construction] * len(ns)))
-    else:
-        rows = [_sweep_row(d, n, construction) for n in ns]
+    rows = list(ordered_results(_sweep_row, ((d, n, construction) for n in ns), parallelism))
     return SweepTable(d=d, construction=construction, rows=rows, fit=_quadratic_fit(rows))

@@ -3,11 +3,12 @@ minimum percolation time over sets of a fixed size, and minimality checks.
 
 Candidates are enumerated in colexicographic order over the linear indices
 (ascending maximum element, then colex on the rest), which fixes the
-returned witness deterministically.  The enumeration is cut into chunks of
-at most ``_CHUNK`` candidates that follow each other in exact global colex
-order, so chunks can be tested in any process as long as their results are
-read back in order.  Every search is budgeted: instead of silently running
-forever, an infeasible request raises ``BudgetExceededError`` up front.
+returned witness deterministically.  The enumeration is cut into ranges of
+at most ``_CHUNK`` colex ranks, and whoever tests a range (this process or
+a pool worker) unranks its chunk of candidates itself, so chunks can be
+tested in any process as long as their results are read back in order.
+Every search is budgeted: instead of silently running forever, an
+infeasible request raises ``BudgetExceededError`` up front.
 
 A chunk is tested in one batch, transposed: row ``i`` of a ``uint64``
 array holds cell ``i``'s state in every candidate of the chunk, one bit per
@@ -106,42 +107,45 @@ def colex_combinations(n: int, k: int) -> Iterator[tuple[int, ...]]:
 # -- colex chunks -------------------------------------------------------------
 
 
-def _chunk_length(size: int) -> int:
-    """Candidates per chunk on a lattice of ``size`` cells: ``_CHUNK``, or
-    fewer where that would take a chunk's seed grid over ``_CHUNK_CELLS``."""
-    return max(1, min(_CHUNK, _CHUNK_CELLS // (size + 1)))
+def _rank_ranges(size: int, k: int) -> Iterator[tuple[int, int, int]]:
+    """Work units (k, start, stop) whose colex rank ranges cover the
+    k-subsets of range(size) in order.  All but the last span ``_CHUNK``
+    ranks, or fewer where that would take a chunk's seed grid over
+    ``_CHUNK_CELLS``."""
+    total, step = comb(size, k), max(1, min(_CHUNK, _CHUNK_CELLS // (size + 1)))
+    for start in range(0, total, step):
+        yield k, start, min(start + step, total)
 
 
-def _colex_chunks(size: int, k: int) -> Iterator[np.ndarray]:
-    """(K, k) index arrays whose rows, in sequence, are exactly
-    ``colex_combinations(size, k)``; all but the last hold
-    ``_chunk_length(size)`` rows.
-
-    The k-set c_1 < ... < c_k has colex rank sum_i comb(c_i, i), so a chunk
-    is unranked from its range of ranks, largest element first: c_i is the
-    greatest m with comb(m, i) <= the rank still left.  Entries use the
-    smallest unsigned dtype that holds ``size - 1``, which keeps chunks
-    small in memory and in transit to pool workers.
-    """
-    if not 0 <= k <= size:
-        return
-    dtype = np.min_scalar_type(max(size - 1, 0))
-    # c_i lies in [i-1, size-k+i-1]; a binomial past int64 exceeds every
-    # rank, so clipping it keeps the tables sorted and the search exact
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def _binomials(size: int, k: int) -> list[np.ndarray]:
+    """comb(m, i) for m in [i-1, size-k+i-1], the range of c_i in a k-subset
+    of range(size), for i = 1..k; every chunk of a search unranks by them."""
+    # a binomial past int64 exceeds every rank, so clipping it keeps the
+    # tables sorted and the unranking exact
     cap = np.iinfo(np.int64).max
-    tables = [
+    return [
         np.array([min(comb(m, i), cap) for m in range(i - 1, size - k + i)], dtype=np.int64)
         for i in range(1, k + 1)
     ]
-    total, step = comb(size, k), _chunk_length(size)
-    for start in range(0, total, step):
-        rank = np.arange(start, min(start + step, total), dtype=np.int64)
-        chunk = np.empty((len(rank), k), dtype=dtype)
-        for i in range(k, 0, -1):
-            m = np.searchsorted(tables[i - 1], rank, side="right") - 1
-            rank -= tables[i - 1][m]
-            chunk[:, i - 1] = m + (i - 1)
-        yield chunk
+
+
+def _colex_chunk(size: int, k: int, start: int, stop: int) -> np.ndarray:
+    """(stop - start, k) index array: rows ``start:stop`` of
+    ``colex_combinations(size, k)``.
+
+    The k-set c_1 < ... < c_k has colex rank sum_i comb(c_i, i), so each
+    rank is unranked largest element first: c_i is the greatest m with
+    comb(m, i) <= the rank still left.  Entries use the smallest unsigned
+    dtype that holds ``size - 1``, which keeps chunks small in memory.
+    """
+    rank = np.arange(start, stop, dtype=np.int64)
+    chunk = np.empty((len(rank), k), dtype=np.min_scalar_type(max(size - 1, 0)))
+    for i, table in reversed(list(enumerate(_binomials(size, k)))):
+        m = np.searchsorted(table, rank, side="right") - 1
+        rank -= table[m]
+        chunk[:, i] = m + i
+    return chunk
 
 
 # -- the batch kernel -----------------------------------------------------------
@@ -272,22 +276,18 @@ def _revalidate_percolation(spec: LatticeSpec, witness: CellSet, expect_time: in
         )
 
 
-def _chunk_results(
-    chunks: Iterable[np.ndarray],
-    work: Callable,
-    args: Callable[[], tuple],
-    parallelism: int,
-) -> Iterator:
-    """``work(chunk, *args())`` for every chunk, yielded in chunk order.
+def ordered_results(work: Callable, calls: Iterable[tuple], parallelism: int) -> Iterator:
+    """``work(*call)`` for every call, yielded in call order.
 
-    ``args`` is read when a chunk is submitted, so it may depend on the
-    results consumed so far.  With ``parallelism > 1`` chunks run in a pool
-    with a bounded number in flight; closing the generator (the caller
-    found what it wanted) cancels pending chunks and shuts the pool down.
+    ``calls`` is read lazily, one call as it is submitted, so a generator
+    may build later calls from the results consumed so far.  With
+    ``parallelism > 1`` calls run in a process pool with a bounded number
+    in flight; closing the generator (the caller found what it wanted)
+    cancels pending calls and shuts the pool down.
     """
     if parallelism <= 1:
-        for chunk in chunks:
-            yield work(chunk, *args())
+        for call in calls:
+            yield work(*call)
         return
     # imported here so that a process which starts no pool never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -295,8 +295,8 @@ def _chunk_results(
     pool = ProcessPoolExecutor(max_workers=parallelism)
     try:
         in_flight: deque = deque()
-        for chunk in chunks:
-            in_flight.append(pool.submit(work, chunk, *args()))
+        for call in calls:
+            in_flight.append(pool.submit(work, *call))
             if len(in_flight) > 2 * parallelism:
                 yield in_flight.popleft().result()
         while in_flight:
@@ -306,12 +306,14 @@ def _chunk_results(
 
 
 def _size_chunk(
-    chunk: np.ndarray, spec: LatticeSpec, symmetry: bool
+    spec: LatticeSpec, symmetry: bool, k: int, start: int, stop: int
 ) -> tuple[tuple[int, ...] | None, int]:
-    """First percolating candidate of the chunk, and the candidates tested
-    up to and including it (all of them when none percolates).  With
-    ``symmetry`` only canonical candidates are tested.
+    """First percolating candidate among the k-sets of colex ranks
+    ``start:stop``, and the candidates tested up to and including it (all
+    of them when none percolates).  With ``symmetry`` only canonical
+    candidates are tested.
     """
+    chunk = _colex_chunk(spec.size, k, start, stop)
     if symmetry:
         chunk = _canonical(spec, chunk)
     hits = np.flatnonzero(_percolating(spec, chunk))
@@ -346,8 +348,8 @@ def min_percolating_size(
             f"raise the budget or lower max_size",
             examined=0,
         )
-    chunks = (chunk for k in range(1, max_size + 1) for chunk in _colex_chunks(spec.size, k))
-    results = _chunk_results(chunks, _size_chunk, lambda: (spec, symmetry), parallelism)
+    units = (unit for k in range(1, max_size + 1) for unit in _rank_ranges(spec.size, k))
+    results = ordered_results(_size_chunk, ((spec, symmetry, *unit) for unit in units), parallelism)
     examined = 0
     with closing(results):
         for hit, count in results:
@@ -360,13 +362,15 @@ def min_percolating_size(
 
 
 def _time_chunk(
-    chunk: np.ndarray, spec: LatticeSpec, limit: int | None
+    spec: LatticeSpec, limit: int | None, k: int, start: int, stop: int
 ) -> tuple[int | None, tuple[int, ...] | None, int, int]:
-    """Least full-infection time below ``limit`` in the chunk.
+    """Least full-infection time below ``limit`` among the k-sets of colex
+    ranks ``start:stop``.
 
     Returns (time, its first achiever, the achiever's position + 1, chunk
     length); time and achiever are None when no candidate beats ``limit``.
     """
+    chunk = _colex_chunk(spec.size, k, start, stop)
     for t, planes in enumerate(_rounds(spec, _seed_planes(spec.size, chunk))):
         if limit is not None and t >= limit:
             break
@@ -407,8 +411,10 @@ def min_percolation_time(
     best: int | None = None
     best_witness: tuple[int, ...] | None = None
     examined = 0
-    chunks = _colex_chunks(spec.size, size)
-    results = _chunk_results(chunks, _time_chunk, lambda: (spec, best), parallelism)
+    # the generator reads ``best`` as each call is submitted, so the limit
+    # tightens with the results consumed so far
+    calls = ((spec, best, *unit) for unit in _rank_ranges(spec.size, size))
+    results = ordered_results(_time_chunk, calls, parallelism)
     with closing(results):
         for t, witness_idx, position, count in results:
             if t is not None and (best is None or t < best):

@@ -110,13 +110,25 @@ def test_simulate_bad_initial_file_message(tmp_path, capsys, content, stderr):
 
 
 def test_cli_import_loads_no_pool_modules():
-    # the process pool's modules load only when a search or sweep starts a pool
+    # the process pool's modules load only when a search or sweep starts a
+    # pool, whichever entry point is imported (each in a fresh process)
     src = str(Path(bootperc.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, bootperc.cli; print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    for module in ("bootperc", "bootperc.cli", "bootperc.experiments"):
+        code = f"import sys, {module}; print(sorted({{'concurrent.futures.process', 'multiprocessing'}} & set(sys.modules)))"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n", module
+
+
+def test_out_of_memory_is_a_resource_error(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr("bootperc.cli.run", refuse)
+    code, out, err = invoke(capsys, "simulate", "--d", "2", "--n", "3", "--construction", "hyperplanes")
+    assert (code, out) == (3, "")
+    assert err == "error: out of memory; Unable to allocate 8.00 GiB for an array\n"
 
 
 def test_simulate_torus_trace_is_input_error(capsys):

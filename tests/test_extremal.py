@@ -4,6 +4,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bootperc import extremal
 from bootperc.constructions import diagonal, hyperplane_union
@@ -11,8 +12,9 @@ from bootperc.dynamics import CellSet, closure, run
 from bootperc.extremal import (
     BudgetExceededError,
     NoPercolatingSetError,
-    _colex_chunks,
+    _colex_chunk,
     _percolating,
+    _rank_ranges,
     _rounds,
     _seed_planes,
     colex_combinations,
@@ -50,30 +52,47 @@ def test_colex_degenerate():
     assert list(colex_combinations(3, 4)) == []
 
 
+def _chunks(size, k):
+    return [_colex_chunk(size, *unit) for unit in _rank_ranges(size, k)]
+
+
 @pytest.mark.parametrize("chunk", [1, 5, 17, 64])
 def test_colex_chunks_concatenate_to_colex_order(monkeypatch, chunk):
     monkeypatch.setattr(extremal, "_CHUNK", chunk)
     for t, j in [(6, 3), (9, 4), (10, 1), (7, 7), (5, 0), (12, 5)]:
-        parts = list(_colex_chunks(t, j))
+        parts = _chunks(t, j)
         assert all(0 < len(part) <= chunk for part in parts)
         assert np.vstack(parts).tolist() == [list(c) for c in colex_combinations(t, j)]
-    assert list(_colex_chunks(3, 4)) == []
+    assert list(_rank_ranges(3, 4)) == []
 
 
 def test_colex_chunks_on_large_lattices(monkeypatch):
     # past 127 cells a chunk holds fewer than _CHUNK candidates; the order
     # stays exact
-    parts = list(_colex_chunks(1300, 2))
-    assert max(map(len, parts)) == extremal._chunk_length(1300) < extremal._CHUNK
+    parts = _chunks(1300, 2)
+    assert max(map(len, parts)) == extremal._CHUNK_CELLS // 1301 < extremal._CHUNK
     assert np.vstack(parts).tolist() == [list(c) for c in colex_combinations(1300, 2)]
     # no depth of recursion grows with k: the (size - 1)-subsets over many
     # chunks, where row i leaves out cell size - 1 - i
     monkeypatch.setattr(extremal, "_CHUNK", 64)
     size = 1200
-    rows = np.vstack(list(_colex_chunks(size, size - 1)))
+    rows = np.vstack(_chunks(size, size - 1))
     assert (np.diff(rows.astype(np.int64), axis=1) > 0).all()
     missing = size * (size - 1) // 2 - rows.sum(axis=1, dtype=np.int64)
     assert missing.tolist() == list(range(size - 1, -1, -1))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_colex_chunk_is_any_slice_of_colex_order(data):
+    size = data.draw(st.integers(min_value=0, max_value=12))
+    k = data.draw(st.integers(min_value=0, max_value=size))
+    total = comb(size, k)
+    start = data.draw(st.integers(min_value=0, max_value=total))
+    stop = data.draw(st.integers(min_value=start, max_value=total))
+    chunk = _colex_chunk(size, k, start, stop)
+    assert chunk.shape == (stop - start, k)
+    assert [tuple(row) for row in chunk.tolist()] == list(colex_combinations(size, k))[start:stop]
 
 
 def test_min_size_on_a_lattice_of_40000_cells():
@@ -150,7 +169,8 @@ def test_percolating_nine_subsets_of_the_cube():
     # [3]^3 percolate under the 3-neighbour rule
     spec = LatticeSpec(3, 3)
     total = found = 0
-    for chunk in _colex_chunks(spec.size, 9):
+    for unit in _rank_ranges(spec.size, 9):
+        chunk = _colex_chunk(spec.size, *unit)
         total += len(chunk)
         found += int(_percolating(spec, chunk).sum())
     assert total == comb(27, 9)
