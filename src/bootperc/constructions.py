@@ -25,15 +25,11 @@ CONSTRUCTIONS = ("hyperplanes", "shifted") + NAMED_SETS
 
 def level_set(d: int, n: int, k: int) -> CellSet:
     """All cells of [n]^d with coordinate sum ``k``; empty when k < d or k > d*n."""
-    if d < 1 or n < 1:
-        raise ValueError(f"invalid shape d={d}, n={n}")
     return CellSet._from_mask(d, n, levels(d, n) == k)
 
 
 def hyperplane_union(d: int, n: int) -> CellSet:
     """Union of the level sets at n, 2n, ..., dn; cardinality n**(d-1)."""
-    if d < 1 or n < 1:
-        raise ValueError(f"invalid shape d={d}, n={n}")
     return CellSet._from_mask(d, n, levels(d, n) % n == 0)
 
 
@@ -43,8 +39,6 @@ def shifted_union(d: int, n: int) -> CellSet:
     Provided as-is: whether it percolates is an empirical question answered
     by running the engine, not a guarantee of this constructor.
     """
-    if d < 1 or n < 1:
-        raise ValueError(f"invalid shape d={d}, n={n}")
     # every level lies in [d, d*n], so the levels i*n - floor(n/2) for
     # i = 1..d are exactly those congruent to -floor(n/2) mod n
     return CellSet._from_mask(d, n, levels(d, n) % n == -(n // 2) % n)

@@ -368,11 +368,13 @@ def _index_array(cells: CellSet) -> np.ndarray:
     return np.flatnonzero(cells._mask())
 
 
-def _check_compatible(spec: LatticeSpec, initial: CellSet) -> None:
+def _check_compatible(spec: LatticeSpec, initial: CellSet, record_trace: bool = False) -> None:
     if (initial.d, initial.n) != (spec.d, spec.n):
         raise ValueError(
             f"initial set shape ({initial.d}, {initial.n}) does not match spec ({spec.d}, {spec.n})"
         )
+    if record_trace and spec.topology != "grid":
+        raise ValueError("perimeter trace is defined for the grid topology only")
 
 
 def run(
@@ -391,9 +393,7 @@ def run(
     counts and the perimeter step are read from the same arrays.  Behaviour
     is identical to :func:`run_naive`.
     """
-    _check_compatible(spec, initial)
-    if record_trace and spec.topology != "grid":
-        raise ValueError("perimeter trace is defined for the grid topology only")
+    _check_compatible(spec, initial, record_trace)
     table = neighbor_table(spec)
     size, r, twod = spec.size, spec.r, 2 * spec.d
     # times[size] is read through the table's -1 entries: a missing neighbour
@@ -460,9 +460,7 @@ def run_naive(
     updating it incrementally.  Slow but obviously correct; used to validate
     :func:`run`.
     """
-    _check_compatible(spec, initial)
-    if record_trace and spec.topology != "grid":
-        raise ValueError("perimeter trace is defined for the grid topology only")
+    _check_compatible(spec, initial, record_trace)
     # built by coordinate arithmetic, independently of the table run reads
     d, n, size = spec.d, spec.n, spec.size
     nbrs = [[cell_index(v, d, n) for v in neighbors(cell_at(i, d, n), spec)] for i in range(size)]

@@ -10,8 +10,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .constructions import build_construction, level_set
-from .dynamics import run
+from .constructions import build_construction
+from .dynamics import CellSet, run
 from .extremal import BudgetExceededError, ordered_results
 from .lattice import LatticeSpec, levels
 from .witness import StripContext
@@ -25,16 +25,15 @@ DEFAULT_CELL_BUDGET = 1 << 23
 def verify_strip_fill(d: int, n: int, s: int) -> bool:
     """Does seeding the two bounding hyperplanes of strip ``s`` fill the strip?
 
-    For the lowest valid strip index the lower hyperplane is empty and the
-    check extends downward: every level from d up to s*n - 1 must fill.
+    For the lowest valid strip index the lower hyperplane lies below level d
+    and is empty, so the check extends downward: every level from d up to
+    s*n - 1 must fill.
     """
     ctx = StripContext(d, n, s)  # validates the (d, n, s) combination
-    seeds = level_set(d, n, ctx.lower_level) | level_set(d, n, ctx.upper_level)
-    times = run(LatticeSpec(d, n, "grid", d), seeds).times_array
-    lowest_strip = -(-d // n)
-    first_level = d if s == lowest_strip else ctx.lower_level + 1
     level = levels(d, n)
-    return bool((times[(level >= first_level) & (level < ctx.upper_level)] >= 0).all())
+    seeds = CellSet._from_mask(d, n, (level == ctx.lower_level) | (level == ctx.upper_level))
+    times = run(LatticeSpec(d, n, "grid", d), seeds).times_array
+    return bool((times[(level > ctx.lower_level) & (level < ctx.upper_level)] >= 0).all())
 
 
 class LevelFill(NamedTuple):
@@ -84,9 +83,9 @@ def verify_separation(d: int, n: int) -> SeparationReport:
     high = low + n + 1
     if high > d * n:
         raise ValueError(f"no valid seed levels: {high} exceeds the top level {d * n}")
-    seeds = level_set(d, n, low) | level_set(d, n, high)
-    record = run(LatticeSpec(d, n, "grid", d), seeds)
     level = levels(d, n)
+    seeds = CellSet._from_mask(d, n, (level == low) | (level == high))
+    record = run(LatticeSpec(d, n, "grid", d), seeds)
     totals = np.bincount(level, minlength=high + 1).tolist()
     infected = np.bincount(level[record.times_array >= 0], minlength=high + 1).tolist()
 

@@ -7,8 +7,10 @@ returned witness deterministically.  The enumeration is cut into ranges of
 at most ``_CHUNK`` colex ranks, and whoever tests a range (this process or
 a pool worker) unranks its chunk of candidates itself, so chunks can be
 tested in any process as long as their results are read back in order.
-Every search is budgeted: instead of silently running forever, an
-infeasible request raises ``BudgetExceededError`` up front.
+Every search is budgeted: it scans only the leading sizes whose candidates
+fit in the budget together, and raises ``BudgetExceededError`` up front
+when not even the first size fits, or after the scan when no scanned size
+percolates but a larger one was left out.
 
 A chunk is tested in one batch, transposed: row ``i`` of a ``uint64``
 array holds cell ``i``'s state in every candidate of the chunk, one bit per
@@ -29,7 +31,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .dynamics import CellSet, _index_array, run
+from .dynamics import CellSet, _check_compatible, _index_array, run
 from .lattice import LATTICE_CACHE_SIZE, LatticeSpec, neighbor_table
 
 DEFAULT_BUDGET = 10**8
@@ -256,12 +258,24 @@ def _canonical(spec: LatticeSpec, chunk: np.ndarray) -> np.ndarray:
 # -- searches ----------------------------------------------------------------
 
 
-def _resolve_budget(budget: int | None) -> int:
-    if budget is None:
-        return DEFAULT_BUDGET
+def _sizes_within_budget(cells: int, sizes: Iterable[int], budget: int | None) -> list[int]:
+    """The leading ``sizes``, in scan order, whose candidate sets among
+    ``cells`` cells fit in ``budget`` (default ``DEFAULT_BUDGET``) together;
+    raises :class:`BudgetExceededError` before any work when the first does not."""
+    budget = DEFAULT_BUDGET if budget is None else budget
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
-    return budget
+    within, total = [], 0
+    for k in sizes:
+        total += comb(cells, k)
+        if total > budget:
+            if not within:
+                raise BudgetExceededError(
+                    f"search over {total} candidate sets exceeds the budget of {budget}", examined=0
+                )
+            break
+        within.append(k)
+    return within
 
 
 def _revalidate_percolation(spec: LatticeSpec, witness: CellSet, expect_time: int | None = None) -> None:
@@ -336,19 +350,15 @@ def min_percolating_size(
     colex order and the first percolating one wins.  With ``symmetry=True``
     only candidates that are minimal in their symmetry orbit are tested
     (same optimum, possibly different witness, flagged on the result).
+    Only the leading sizes whose candidates fit in the budget together are
+    scanned; when none of them percolates and a size was left out, the
+    search raises :class:`BudgetExceededError` with the candidates tested.
     """
     if max_size < 0:
         raise ValueError(f"max_size must be >= 0, got {max_size}")
     max_size = min(max_size, spec.size)
-    budget = _resolve_budget(budget)
-    total = sum(comb(spec.size, k) for k in range(1, max_size + 1))
-    if total > budget:
-        raise BudgetExceededError(
-            f"search over {total} candidate sets exceeds the budget of {budget}; "
-            f"raise the budget or lower max_size",
-            examined=0,
-        )
-    units = (unit for k in range(1, max_size + 1) for unit in _rank_ranges(spec.size, k))
+    sizes = _sizes_within_budget(spec.size, range(1, max_size + 1), budget)
+    units = (unit for k in sizes for unit in _rank_ranges(spec.size, k))
     results = ordered_results(_size_chunk, ((spec, symmetry, *unit) for unit in units), parallelism)
     examined = 0
     with closing(results):
@@ -358,6 +368,12 @@ def min_percolating_size(
                 witness = CellSet.from_indices(spec.d, spec.n, hit)
                 _revalidate_percolation(spec, witness)
                 return SearchResult("min_size", len(hit), witness, examined, True, symmetry)
+    if len(sizes) < max_size:
+        raise BudgetExceededError(
+            f"no set of size <= {len(sizes)} percolates and size {len(sizes) + 1} would exceed "
+            f"the budget; raise the budget or lower max_size",
+            examined=examined,
+        )
     return SearchResult("min_size", None, None, examined, True, symmetry)
 
 
@@ -397,13 +413,7 @@ def min_percolation_time(
     """
     if not 0 <= size <= spec.size:
         raise ValueError(f"size must lie in [0, {spec.size}], got {size}")
-    budget = _resolve_budget(budget)
-    total = comb(spec.size, size)
-    if total > budget:
-        raise BudgetExceededError(
-            f"search over {total} candidate sets exceeds the budget of {budget}",
-            examined=0,
-        )
+    _sizes_within_budget(spec.size, [size], budget)
     if size == 0:
         # the empty set never percolates a nonempty lattice
         raise NoPercolatingSetError(f"no percolating set of size 0 on {spec.size} cells")
@@ -439,10 +449,7 @@ def is_minimal(spec: LatticeSpec, cells: CellSet) -> bool:
     equivalent to no proper subset percolating at all.  Non-percolating
     input is a domain error.
     """
-    if (cells.d, cells.n) != (spec.d, spec.n):
-        raise ValueError(
-            f"set shape ({cells.d}, {cells.n}) does not match spec ({spec.d}, {spec.n})"
-        )
+    _check_compatible(spec, cells)
     members = _index_array(cells)
     if not _percolating(spec, members[None, :])[0]:
         raise ValueError("set does not percolate; minimality is undefined")

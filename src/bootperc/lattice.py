@@ -7,11 +7,13 @@ linear indices through the fixed row-major rule
     index(v) = sum_i (v_i - 1) * n**(d - i)
 
 so the last coordinate varies fastest, as in the index grid
-``np.arange(n**d).reshape((n,) * d)``.  Whole-lattice geometry (the
-neighbour table, :func:`levels`) is derived from that grid and its sparse
-coordinates ``np.indices((n,) * d, sparse=True)``.  All other modules rely
-on this mapping and on the fixed neighbour order (dimension 1..d, minus
-step before plus step) for bit-reproducible iteration.
+``np.arange(n**d).reshape((n,) * d)``.  Whole-lattice geometry is derived
+from that grid and its sparse coordinates ``np.indices((n,) * d,
+sparse=True)``: the neighbour table, and the per-cell coordinate sums of
+:func:`levels`, from which every level set (:func:`iter_level_cells` and
+the level-set constructions) is read.  All other modules rely on this
+mapping and on the fixed neighbour order (dimension 1..d, minus step
+before plus step) for bit-reproducible iteration.
 """
 
 from __future__ import annotations
@@ -139,30 +141,16 @@ def neighbors(cell: Cell, spec: LatticeSpec) -> list[Cell]:
 
 
 def iter_level_cells(d: int, n: int, k: int) -> Iterator[Cell]:
-    """Yield all cells of [n]^d with coordinate sum ``k``, in ascending index order.
-
-    Enumerates compositions directly instead of filtering the whole lattice,
-    so it stays cheap even when n**d is large.  Out-of-range ``k`` yields
-    nothing (the level set is empty by definition).
-    """
-    if k < d or k > d * n:
-        return
-
-    def rec(prefix: Cell, remaining_dims: int, remaining_sum: int) -> Iterator[Cell]:
-        if remaining_dims == 0:
-            yield prefix
-            return
-        lo = max(1, remaining_sum - (remaining_dims - 1) * n)
-        hi = min(n, remaining_sum - (remaining_dims - 1))
-        for v in range(lo, hi + 1):
-            yield from rec(prefix + (v,), remaining_dims - 1, remaining_sum - v)
-
-    yield from rec((), d, k)
+    """Cells of [n]^d with coordinate sum ``k``, in ascending index order;
+    none when k < d or k > d*n."""
+    return map(tuple, coordinates(np.flatnonzero(levels(d, n) == k), d, n).tolist())
 
 
 def levels(d: int, n: int) -> np.ndarray:
     """Coordinate sum of every cell of [n]^d, by linear index, in the
     smallest unsigned dtype that holds ``d * n``."""
+    if d < 1 or n < 1:
+        raise ValueError(f"invalid shape d={d}, n={n}")
     dtype = np.min_scalar_type(d * n)
     return sum(np.indices((n,) * d, dtype=dtype, sparse=True), dtype.type(d)).ravel()
 

@@ -253,6 +253,14 @@ def test_budget_exceeded_exits_three(capsys):
     assert code == 3 and "budget" in err
 
 
+def test_budget_is_charged_one_size_at_a_time(capsys):
+    # sizes 1-4 of [4]^2 take 16 + 120 + 560 + 1820 = 2516 sets; size 5
+    # would exceed the budget, but the search hits at 4 first
+    code, out, _ = invoke(capsys, "search-min-set", "--d", "2", "--n", "4", "--budget", "3000")
+    doc = json.loads(out)
+    assert code == 0 and doc["optimum"] == 4 and doc["instances_examined"] == 1200
+
+
 def test_budget_env_var(monkeypatch, capsys):
     monkeypatch.setenv("BOOTPERC_BUDGET", "100")
     code, _, _ = invoke(capsys, "search-min-set", "--d", "2", "--n", "5")

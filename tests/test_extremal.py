@@ -214,8 +214,14 @@ def test_min_size_witness_is_colex_first():
 
 
 def test_min_size_budget_refusal():
+    # sizes are charged one at a time: the 25 + 300 sets of sizes 1 and 2
+    # fit in the budget and none percolates; size 3 would take it to 2625
     with pytest.raises(BudgetExceededError) as info:
         min_percolating_size(LatticeSpec(2, 5), 12, budget=1000)
+    assert info.value.examined == 325
+    # not even the 25 one-cell sets fit: refused before any work
+    with pytest.raises(BudgetExceededError) as info:
+        min_percolating_size(LatticeSpec(2, 5), 12, budget=10)
     assert info.value.examined == 0
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from bootperc.lattice import (
     neighbor_table,
     neighbors,
 )
+from bootperc.witness import StripContext, iter_strip_cells
 
 
 def test_spec_defaults_threshold_to_d():
@@ -125,17 +127,17 @@ def test_level_sets_partition_the_lattice(d, n):
 
 
 def test_level_enumeration_matches_filter_oracle():
-    d, n, k = 3, 5, 5
-    by_enum = sorted(iter_level_cells(d, n, k))
-    by_filter = sorted(
-        (a, b, c)
-        for a in range(1, 6)
-        for b in range(1, 6)
-        for c in range(1, 6)
-        if a + b + c == k
-    )
-    assert by_enum == by_filter
-    assert len(by_enum) == 6  # permutations of (3,1,1) and (2,2,1)
+    # unsorted: the enumeration follows ascending index order, which is the
+    # order of itertools.product over the coordinates
+    for d, n in [(1, 4), (2, 3), (3, 3), (4, 2)]:
+        lattice = list(itertools.product(range(1, n + 1), repeat=d))
+        for k in range(0, d * n + 2):
+            assert list(iter_level_cells(d, n, k)) == [c for c in lattice if sum(c) == k]
+        for s in range(-(-d // n), d + 1):
+            ctx = StripContext(d, n, s)
+            inside = [c for c in lattice if ctx.lower_level < sum(c) < ctx.upper_level]
+            assert list(iter_strip_cells(ctx)) == sorted(inside, key=sum)
+    assert len(list(iter_level_cells(3, 5, 5))) == 6  # permutations of (3,1,1) and (2,2,1)
 
 
 def test_neighbor_lists_match_neighbors():
