@@ -6,6 +6,7 @@ verification campaigns, all exposed both as a library and through the
 ``bootperc`` command-line tool.
 """
 
+from .colex import colex_combinations
 from .constructions import (
     CONSTRUCTIONS,
     boundary,
@@ -39,7 +40,6 @@ from .extremal import (
     BudgetExceededError,
     NoPercolatingSetError,
     SearchResult,
-    colex_combinations,
     is_minimal,
     min_percolating_size,
     min_percolation_time,

@@ -3,20 +3,23 @@ minimum percolation time over sets of a fixed size, and minimality checks.
 
 Candidates are enumerated in colexicographic order over the linear indices
 (ascending maximum element, then colex on the rest), which fixes the
-returned witness deterministically.  The enumeration is cut into ranges of
-at most ``_CHUNK`` colex ranks, and whoever tests a range (this process or
-a pool worker) unranks its chunk of candidates itself, so chunks can be
-tested in any process as long as their results are read back in order.
-Every search is budgeted: it scans only the leading sizes whose candidates
-fit in the budget together, and raises ``BudgetExceededError`` up front
-when not even the first size fits, or after the scan when no scanned size
-percolates but a larger one was left out.
+returned witness deterministically.  Every search is budgeted: it scans
+only the leading sizes whose candidates fit in the budget together, and
+raises ``BudgetExceededError`` up front when not even the first size fits,
+or after the scan when no scanned size percolates but a larger one was left
+out.
 
-A chunk is tested in one batch, transposed: row ``i`` of a ``uint64``
-array holds cell ``i``'s state in every candidate of the chunk, one bit per
+Candidates are tested in batches, transposed: row ``i`` of a ``uint64``
+array holds cell ``i``'s state in every candidate of the batch, one bit per
 candidate, and one synchronous round of the rule is a handful of numpy
-operations over those rows.  Every returned witness is re-validated with an
-independent engine run before the result is handed back.
+operations over those rows.  The batches are work units of colex blocks
+copied from a per-process table (see :mod:`bootperc.colex`), never
+unranked one candidate at a time; the symmetry-pruned search gathers the
+units' index rows instead and filters them first.  Whoever tests a unit
+(this process or a pool worker) copies it itself, so units can be tested
+in any process as long as their results are read back in order.  Every
+returned witness is re-validated with an independent engine run before the
+result is handed back.
 """
 
 from __future__ import annotations
@@ -31,17 +34,15 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from .colex import _Unit, _units
 from .dynamics import CellSet, _check_compatible, _index_array, run
 from .lattice import LATTICE_CACHE_SIZE, LatticeSpec, neighbor_table
 
 DEFAULT_BUDGET = 10**8
 
-# Candidates tested in one batch, at most.
-_CHUNK = 2**15
-# Cap on cells x candidates in one chunk.  The seed grid takes that many
-# bytes and each state plane an eighth of it, so a chunk needs a few MB on
-# any lattice; lattices under 128 cells keep the full _CHUNK.
-_CHUNK_CELLS = 2**22
+# Searches over fewer candidates than this run in this process whatever
+# their parallelism: starting a pool costs more than they take.
+_POOL_MIN = 2**20
 
 
 class BudgetExceededError(RuntimeError):
@@ -78,78 +79,6 @@ class SearchResult:
         }
 
 
-def colex_combinations(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-subsets of range(n) as ascending tuples, in colexicographic order.
-
-    Colex compares subsets by their largest element first, then recurses on
-    the remainder: (0,1), (0,2), (1,2), (0,3), ...
-    """
-    if k < 0 or k > n:
-        return
-    if k == 0:
-        yield ()
-        return
-    a = list(range(k))
-    while True:
-        yield tuple(a)
-        i = 0
-        while i < k:
-            bumped = a[i] + 1
-            ceiling = a[i + 1] if i + 1 < k else n
-            if bumped < ceiling:
-                a[i] = bumped
-                for j in range(i):
-                    a[j] = j
-                break
-            i += 1
-        else:
-            return
-
-
-# -- colex chunks -------------------------------------------------------------
-
-
-def _rank_ranges(size: int, k: int) -> Iterator[tuple[int, int, int]]:
-    """Work units (k, start, stop) whose colex rank ranges cover the
-    k-subsets of range(size) in order.  All but the last span ``_CHUNK``
-    ranks, or fewer where that would take a chunk's seed grid over
-    ``_CHUNK_CELLS``."""
-    total, step = comb(size, k), max(1, min(_CHUNK, _CHUNK_CELLS // (size + 1)))
-    for start in range(0, total, step):
-        yield k, start, min(start + step, total)
-
-
-@lru_cache(maxsize=LATTICE_CACHE_SIZE)
-def _binomials(size: int, k: int) -> list[np.ndarray]:
-    """comb(m, i) for m in [i-1, size-k+i-1], the range of c_i in a k-subset
-    of range(size), for i = 1..k; every chunk of a search unranks by them."""
-    # a binomial past int64 exceeds every rank, so clipping it keeps the
-    # tables sorted and the unranking exact
-    cap = np.iinfo(np.int64).max
-    return [
-        np.array([min(comb(m, i), cap) for m in range(i - 1, size - k + i)], dtype=np.int64)
-        for i in range(1, k + 1)
-    ]
-
-
-def _colex_chunk(size: int, k: int, start: int, stop: int) -> np.ndarray:
-    """(stop - start, k) index array: rows ``start:stop`` of
-    ``colex_combinations(size, k)``.
-
-    The k-set c_1 < ... < c_k has colex rank sum_i comb(c_i, i), so each
-    rank is unranked largest element first: c_i is the greatest m with
-    comb(m, i) <= the rank still left.  Entries use the smallest unsigned
-    dtype that holds ``size - 1``, which keeps chunks small in memory.
-    """
-    rank = np.arange(start, stop, dtype=np.int64)
-    chunk = np.empty((len(rank), k), dtype=np.min_scalar_type(max(size - 1, 0)))
-    for i, table in reversed(list(enumerate(_binomials(size, k)))):
-        m = np.searchsorted(table, rank, side="right") - 1
-        rank -= table[m]
-        chunk[:, i] = m + i
-    return chunk
-
-
 # -- the batch kernel -----------------------------------------------------------
 
 
@@ -167,46 +96,59 @@ def _seed_planes(size: int, chunk: np.ndarray) -> np.ndarray:
     return np.packbits(grid, axis=1, bitorder="little").view("<u8")
 
 
+@lru_cache(maxsize=1)
+def _scratch(size: int, words: int, r: int) -> np.ndarray:
+    """Working arrays of :func:`_rounds` for ``words``-word planes."""
+    return np.empty((r + 3, size, words), dtype=np.uint64)
+
+
 def _rounds(spec: LatticeSpec, planes: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield the state after round 0 (the seeds), 1, 2, ... until no
-    candidate changes; the last state yielded is every candidate's closure.
+    """Update ``planes`` in place by synchronous rounds, yielding it after
+    round 0 (the seeds), 1, 2, ... until no candidate changes; the last
+    state yielded is every candidate's closure.  Calls share their working
+    arrays, so a call must be done with (exhausted or dropped) before the
+    next one starts.
     """
     size, r = spec.size, spec.r
     columns = neighbor_table(spec).T
+    words = planes.shape[1]
+    # past 128 KB (glibc's mmap threshold) fresh arrays come from new
+    # zero-filled pages, which doubled the rounds' time on lattices of a few
+    # hundred cells: such planes reuse working arrays kept from call to call
+    work = _scratch(size, words, r) if planes.nbytes > 2**17 else np.empty((r + 3, size, words), np.uint64)
+    # at[c]: cells with at least c+1 infected neighbours among the columns
+    # seen so far (a bit-sliced saturating counter)
+    at, p, both, grown = work[:r], work[r], work[r + 1], work[r + 2]
     while True:
         yield planes
-        # at[c]: cells with at least c+1 infected neighbours among the
-        # columns seen so far (a bit-sliced saturating counter)
-        at: list[np.ndarray] = []
-        for column in columns:
-            p = planes[column]
-            levels = len(at)
+        for i, column in enumerate(columns):
+            levels = min(i, r)
+            # -1 wraps to row ``size``: a missing, healthy neighbour
+            np.take(planes, column, axis=0, out=p if levels else at[0], mode="wrap")
             if 0 < levels < r:
-                at.append(at[-1] & p)
+                np.bitwise_and(at[levels - 1], p, out=at[levels])
             for c in range(levels - 1, 0, -1):
-                at[c] |= at[c - 1] & p
+                np.bitwise_and(at[c - 1], p, out=both)
+                at[c] |= both
             if levels:
                 at[0] |= p
-            else:
-                at.append(p)
-        grown = planes.copy()
-        grown[:size] |= at[r - 1]
-        if np.array_equal(grown, planes):
+        np.bitwise_or(planes[:size], at[r - 1], out=grown)
+        if np.array_equal(grown, planes[:size]):
             return
-        planes = grown
+        planes[:size] = grown
 
 
-def _full(planes: np.ndarray, count: int) -> np.ndarray:
-    """Bool mask of the first ``count`` candidates whose every cell is infected."""
-    every = np.bitwise_and.reduce(planes[:-1], axis=0)
-    return np.unpackbits(every.view(np.uint8), bitorder="little")[:count].astype(bool)
+def _every(planes: np.ndarray) -> np.ndarray:
+    """One word per word of the planes: the bits of candidates whose every
+    cell is infected."""
+    return np.bitwise_and.reduce(planes[:-1], axis=0)
 
 
 def _percolating(spec: LatticeSpec, chunk: np.ndarray) -> np.ndarray:
     """Bool mask of the chunk's candidates that percolate."""
     for planes in _rounds(spec, _seed_planes(spec.size, chunk)):
         pass
-    return _full(planes, len(chunk))
+    return np.unpackbits(_every(planes).view(np.uint8), bitorder="little")[: len(chunk)].astype(bool)
 
 
 # -- symmetry pruning --------------------------------------------------------
@@ -319,21 +261,21 @@ def ordered_results(work: Callable, calls: Iterable[tuple], parallelism: int) ->
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _size_chunk(
-    spec: LatticeSpec, symmetry: bool, k: int, start: int, stop: int
-) -> tuple[tuple[int, ...] | None, int]:
-    """First percolating candidate among the k-sets of colex ranks
-    ``start:stop``, and the candidates tested up to and including it (all
-    of them when none percolates).  With ``symmetry`` only canonical
-    candidates are tested.
+def _size_chunk(spec: LatticeSpec, symmetry: bool, *bounds: int) -> tuple[tuple[int, ...] | None, int]:
+    """First percolating candidate of the work unit with these bounds, and
+    the candidates tested up to and including it (all of them when none
+    percolates).  With ``symmetry`` only canonical candidates are tested.
     """
-    chunk = _colex_chunk(spec.size, k, start, stop)
+    unit = _Unit(spec.size, *bounds)
     if symmetry:
-        chunk = _canonical(spec, chunk)
-    hits = np.flatnonzero(_percolating(spec, chunk))
-    if len(hits):
-        return tuple(chunk[hits[0]].tolist()), int(hits[0]) + 1
-    return None, len(chunk)
+        chunk = _canonical(spec, unit.indices())
+        hits = np.flatnonzero(_percolating(spec, chunk))
+        if len(hits):
+            return tuple(chunk[hits[0]].tolist()), int(hits[0]) + 1
+        return None, len(chunk)
+    for planes in _rounds(spec, unit.planes()):
+        pass
+    return unit.first(_every(planes) & unit.valid)
 
 
 def min_percolating_size(
@@ -358,7 +300,9 @@ def min_percolating_size(
         raise ValueError(f"max_size must be >= 0, got {max_size}")
     max_size = min(max_size, spec.size)
     sizes = _sizes_within_budget(spec.size, range(1, max_size + 1), budget)
-    units = (unit for k in sizes for unit in _rank_ranges(spec.size, k))
+    if sum(comb(spec.size, k) for k in sizes) < _POOL_MIN:
+        parallelism = 1
+    units = (unit for k in sizes for unit in _units(spec.size, k))
     results = ordered_results(_size_chunk, ((spec, symmetry, *unit) for unit in units), parallelism)
     examined = 0
     with closing(results):
@@ -378,23 +322,22 @@ def min_percolating_size(
 
 
 def _time_chunk(
-    spec: LatticeSpec, limit: int | None, k: int, start: int, stop: int
+    spec: LatticeSpec, limit: int | None, *bounds: int
 ) -> tuple[int | None, tuple[int, ...] | None, int, int]:
-    """Least full-infection time below ``limit`` among the k-sets of colex
-    ranks ``start:stop``.
+    """Least full-infection time below ``limit`` in the work unit with these
+    bounds.
 
-    Returns (time, its first achiever, the achiever's position + 1, chunk
+    Returns (time, its first achiever, the achiever's position + 1, unit
     length); time and achiever are None when no candidate beats ``limit``.
     """
-    chunk = _colex_chunk(spec.size, k, start, stop)
-    for t, planes in enumerate(_rounds(spec, _seed_planes(spec.size, chunk))):
+    unit = _Unit(spec.size, *bounds)
+    for t, planes in enumerate(_rounds(spec, unit.planes())):
         if limit is not None and t >= limit:
             break
-        full = _full(planes, len(chunk))
-        if full.any():
-            i = int(full.argmax())
-            return t, tuple(chunk[i].tolist()), i + 1, len(chunk)
-    return None, None, len(chunk), len(chunk)
+        hit, position = unit.first(_every(planes) & unit.valid)
+        if hit is not None:
+            return t, hit, position, unit.count
+    return None, None, unit.count, unit.count
 
 
 def min_percolation_time(
@@ -423,8 +366,8 @@ def min_percolation_time(
     examined = 0
     # the generator reads ``best`` as each call is submitted, so the limit
     # tightens with the results consumed so far
-    calls = ((spec, best, *unit) for unit in _rank_ranges(spec.size, size))
-    results = ordered_results(_time_chunk, calls, parallelism)
+    calls = ((spec, best, *unit) for unit in _units(spec.size, size))
+    results = ordered_results(_time_chunk, calls, parallelism if comb(spec.size, size) >= _POOL_MIN else 1)
     with closing(results):
         for t, witness_idx, position, count in results:
             if t is not None and (best is None or t < best):

@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bootperc import extremal
+from bootperc import colex, extremal
+from bootperc.colex import _Unit, _low_rows, _low_size, _low_table, _units, colex_combinations
 from bootperc.constructions import diagonal, hyperplane_union
 from bootperc.dynamics import CellSet, closure, run
 from bootperc.extremal import (
     BudgetExceededError,
     NoPercolatingSetError,
-    _colex_chunk,
-    _percolating,
-    _rank_ranges,
+    _every,
     _rounds,
     _seed_planes,
-    colex_combinations,
     is_minimal,
     min_percolating_size,
     min_percolation_time,
@@ -52,31 +50,75 @@ def test_colex_degenerate():
     assert list(colex_combinations(3, 4)) == []
 
 
-def _chunks(size, k):
-    return [_colex_chunk(size, *unit) for unit in _rank_ranges(size, k)]
+def _unit_rows(size, unit):
+    """A work unit's candidates read off its seed planes (the valid bits'
+    columns) as a (count, k) index array; checks that they equal the unit's
+    index rows and that the padding bits are clear."""
+    k = unit[0]
+    u = _Unit(size, *unit)
+    planes = u.planes()
+    assert not (planes & ~u.valid).any()
+    valid = np.unpackbits(u.valid.view(np.uint8), bitorder="little").astype(bool)
+    cells = np.unpackbits(planes.view(np.uint8), axis=1, bitorder="little")[:, valid]
+    assert (cells[:size].sum(axis=0) == k).all() and not cells[size].any()
+    rows = np.nonzero(cells.T)[1].reshape(u.count, k)
+    assert rows.tolist() == u.indices().tolist()
+    return rows
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 17, 64])
-def test_colex_chunks_concatenate_to_colex_order(monkeypatch, chunk):
-    monkeypatch.setattr(extremal, "_CHUNK", chunk)
-    for t, j in [(6, 3), (9, 4), (10, 1), (7, 7), (5, 0), (12, 5)]:
-        parts = _chunks(t, j)
-        assert all(0 < len(part) <= chunk for part in parts)
-        assert np.vstack(parts).tolist() == [list(c) for c in colex_combinations(t, j)]
-    assert list(_rank_ranges(3, 4)) == []
+def _rows(size, k):
+    return [_unit_rows(size, unit) for unit in _units(size, k)]
+
+
+@pytest.mark.parametrize("words", [1, 5, 17, 64])
+def test_colex_chunks_concatenate_to_colex_order(monkeypatch, words):
+    # small caps give blocks on small lattices: under 2**12 cells x
+    # candidates (12, 5) has j = 3 (while (12, 2) and (12, 3) have j = k),
+    # under 2**10 (9, 4) has j = 2, and under 2**9 every k >= 1 from size 8
+    # on has j = 1, whose identity table is never stored
+    monkeypatch.setattr(colex, "_CHUNK_WORDS", words)
+    for cells in (2**9, 2**10, 2**12, colex._CHUNK_CELLS):
+        monkeypatch.setattr(colex, "_CHUNK_CELLS", cells)
+        for size, k in [(12, 0), (12, 2), (12, 3), (12, 5), (12, 12), (6, 3), (9, 4), (10, 1), (7, 7)]:
+            parts = _rows(size, k)
+            assert all(len(part) for part in parts)
+            assert np.vstack(parts).tolist() == [list(c) for c in colex_combinations(size, k)]
+        assert list(_units(3, 4)) == []
+
+
+def test_low_size_and_table_bounds():
+    # j < k, j = k (the whole table fits), and j = 1 past 2047 cells, where
+    # even T_1 would not fit but needs no table
+    assert [_low_size(27, k) for k in (0, 3, 5, 9, 25)] == [0, 3, 5, 5, 25]
+    assert (_low_size(36, 6), _low_size(1300, 2), _low_size(1200, 1199)) == (4, 1, 1199)
+    assert (_low_size(2048, 2), _low_size(40000, 1), _low_size(40000, 0)) == (1, 1, 0)
+    assert None not in (_low_table.cache_info().maxsize, _low_rows.cache_info().maxsize)
+    for size, j in [(27, 5), (36, 4), (1300, 1)]:
+        planes, rows = _low_table(size, j), _low_rows(size, j)
+        assert planes.shape == (size + 1, -(-comb(size, j) // 64))
+        assert 64 * planes.size <= colex._CHUNK_CELLS
+        assert rows.tolist() == [list(c) for c in colex_combinations(size, j)]
+        bits = np.unpackbits(planes.view(np.uint8), axis=1, bitorder="little")
+        assert np.nonzero(bits.T)[1].reshape(rows.shape).tolist() == rows.tolist()
 
 
 def test_colex_chunks_on_large_lattices(monkeypatch):
-    # past 127 cells a chunk holds fewer than _CHUNK candidates; the order
+    # past 127 cells a unit spans fewer words than _CHUNK_WORDS; the order
     # stays exact
-    parts = _chunks(1300, 2)
-    assert max(map(len, parts)) == extremal._CHUNK_CELLS // 1301 < extremal._CHUNK
-    assert np.vstack(parts).tolist() == [list(c) for c in colex_combinations(1300, 2)]
+    units = list(_units(1300, 2))
+    parts = [_Unit(1300, *unit) for unit in units]
+    assert max(len(part.valid) for part in parts) == colex._CHUNK_CELLS // (64 * 1301) < colex._CHUNK_WORDS
+    rows = np.vstack([part.indices() for part in parts])
+    assert rows.tolist() == [list(c) for c in colex_combinations(1300, 2)]
+    # the planes of the first and the last unit hold the same rows
+    assert _unit_rows(1300, units[0]).tolist() == rows[: parts[0].count].tolist()
+    assert _unit_rows(1300, units[-1]).tolist() == rows[-parts[-1].count :].tolist()
     # no depth of recursion grows with k: the (size - 1)-subsets over many
-    # chunks, where row i leaves out cell size - 1 - i
-    monkeypatch.setattr(extremal, "_CHUNK", 64)
+    # units, where row i leaves out cell size - 1 - i
+    monkeypatch.setattr(colex, "_CHUNK_WORDS", 1)
     size = 1200
-    rows = np.vstack(_chunks(size, size - 1))
+    rows = np.vstack(_rows(size, size - 1))
+    assert len(list(_units(size, size - 1))) == 19
     assert (np.diff(rows.astype(np.int64), axis=1) > 0).all()
     missing = size * (size - 1) // 2 - rows.sum(axis=1, dtype=np.int64)
     assert missing.tolist() == list(range(size - 1, -1, -1))
@@ -87,12 +129,16 @@ def test_colex_chunks_on_large_lattices(monkeypatch):
 def test_colex_chunk_is_any_slice_of_colex_order(data):
     size = data.draw(st.integers(min_value=0, max_value=12))
     k = data.draw(st.integers(min_value=0, max_value=size))
-    total = comb(size, k)
-    start = data.draw(st.integers(min_value=0, max_value=total))
-    stop = data.draw(st.integers(min_value=start, max_value=total))
-    chunk = _colex_chunk(size, k, start, stop)
-    assert chunk.shape == (stop - start, k)
-    assert [tuple(row) for row in chunk.tolist()] == list(colex_combinations(size, k))[start:stop]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(colex, "_CHUNK_CELLS", data.draw(st.sampled_from([2**9, 2**10, 2**12, 2**22])))
+        patch.setattr(colex, "_CHUNK_WORDS", data.draw(st.integers(min_value=1, max_value=4)))
+        units = list(_units(size, k))
+        a = data.draw(st.integers(min_value=0, max_value=len(units)))
+        b = data.draw(st.integers(min_value=a, max_value=len(units)))
+        start = sum(_Unit(size, *unit).count for unit in units[:a])
+        rows = [tuple(row) for unit in units[a:b] for row in _unit_rows(size, unit).tolist()]
+    assert rows == list(colex_combinations(size, k))[start : start + len(rows)]
+    assert b < len(units) or start + len(rows) == comb(size, k)
 
 
 def test_min_size_on_a_lattice_of_40000_cells():
@@ -164,15 +210,37 @@ def test_batch_kernel_matches_engine_over_64_cells(spec):
         _assert_kernel_matches_engine(spec, _random_chunk(rng, spec.size, k, 70))
 
 
+def _closure_planes(spec, chunk):
+    for planes in _rounds(spec, _seed_planes(spec.size, chunk)):
+        pass
+    return planes
+
+
+@pytest.mark.parametrize("topology", ["grid", "torus"])
+def test_kernel_past_128_kb_matches_small_batches(topology):
+    # planes past 128 KB reuse working arrays from call to call: chunks of
+    # one shape, tested one after another for every threshold, must close
+    # exactly as the same candidates 512 at a time
+    rng = random.Random(9)
+    for r in range(1, 5):
+        spec = LatticeSpec(2, 9, topology, r)
+        chunk = _random_chunk(rng, spec.size, rng.randint(5, 30), 64 * 256)
+        assert _seed_planes(spec.size, chunk).nbytes > 2**17
+        parts = [_closure_planes(spec, chunk[i : i + 512]) for i in range(0, len(chunk), 512)]
+        assert np.array_equal(_closure_planes(spec, chunk), np.hstack(parts))
+
+
 def test_percolating_nine_subsets_of_the_cube():
     # pinned regression value: exactly 116 of the C(27, 9) nine-subsets of
     # [3]^3 percolate under the 3-neighbour rule
     spec = LatticeSpec(3, 3)
     total = found = 0
-    for unit in _rank_ranges(spec.size, 9):
-        chunk = _colex_chunk(spec.size, *unit)
-        total += len(chunk)
-        found += int(_percolating(spec, chunk).sum())
+    for unit in _units(spec.size, 9):
+        u = _Unit(spec.size, *unit)
+        for planes in _rounds(spec, u.planes()):
+            pass
+        total += u.count
+        found += int(np.bitwise_count(_every(planes) & u.valid).sum())
     assert total == comb(27, 9)
     assert found == 116
 
@@ -241,6 +309,26 @@ def test_min_size_symmetry_cross_check():
         assert run(spec, pruned.witness).percolates
 
 
+@pytest.mark.parametrize(
+    "spec,max_size,examined,witness",
+    [
+        (LatticeSpec(2, 4), 16, 1200, [(1, 2), (1, 4), (2, 1), (4, 1)]),
+        (LatticeSpec(3, 3), 9, 4972271,
+         [(1, 1, 3), (1, 2, 2), (1, 3, 1), (1, 3, 3), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 1, 3), (3, 3, 1)]),
+        (LatticeSpec(2, 5, "torus"), 25, 4005, [(1, 2), (1, 4), (2, 1), (4, 1)]),
+        (LatticeSpec(3, 3, r=2), 9, 6385, [(1, 1, 1), (1, 1, 3), (1, 3, 1), (3, 1, 1)]),
+    ],
+)
+def test_min_size_examines_every_smaller_set_and_the_witness_colex_rank(spec, max_size, examined, witness):
+    # candidates counted are the valid ones only: every set of each smaller
+    # size, then the witness's colex rank plus one; padding would add to it
+    res = min_percolating_size(spec, max_size)
+    rank = sum(comb(c, i + 1) for i, c in enumerate(sorted(res.witness.indices())))
+    smaller = sum(comb(spec.size, k) for k in range(1, res.optimum))
+    assert res.instances_examined == smaller + rank + 1 == examined
+    assert res.witness.cells() == witness
+
+
 def test_symmetry_maps_group_sizes():
     import math
 
@@ -287,7 +375,11 @@ def test_one_neighbour_minimum_is_one():
     ids=["size-hit", "size-no-hit", "size-symmetry", "time", "time-floor-hit"],
 )
 def test_parallel_search_over_many_chunks_matches_serial(monkeypatch, search):
-    monkeypatch.setattr(extremal, "_CHUNK", 16)
+    # one-word units, blocks on [4]^2 from k = 3, and a pool however small
+    # the search
+    monkeypatch.setattr(colex, "_CHUNK_WORDS", 1)
+    monkeypatch.setattr(colex, "_CHUNK_CELLS", 2**12)
+    monkeypatch.setattr(extremal, "_POOL_MIN", 0)
     assert search(2) == search(1)
     assert multiprocessing.active_children() == []
 
@@ -341,6 +433,22 @@ def test_min_time_size_validation():
 def test_min_time_parallel_matches_serial():
     spec = LatticeSpec(2, 3)
     assert min_percolation_time(spec, 3) == min_percolation_time(spec, 3, parallelism=2)
+
+
+@pytest.mark.parametrize(
+    "spec,size,optimum,examined,witness",
+    [
+        (LatticeSpec(2, 5), 6, 4, 177100, [(1, 1), (1, 5), (2, 4), (3, 3), (4, 2), (5, 1)]),
+        (LatticeSpec(2, 4), 4, 3, 1820, [(1, 4), (2, 3), (3, 2), (4, 1)]),
+        (LatticeSpec(3, 2), 4, 1, 29, [(1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1)]),
+        (LatticeSpec(2, 6), 6, 5, 1947792, [(1, 6), (2, 5), (3, 4), (4, 3), (5, 2), (6, 1)]),
+        (LatticeSpec(3, 3), 9, 3, 4686825,
+         [(1, 1, 3), (1, 2, 1), (1, 3, 2), (2, 1, 1), (2, 2, 2), (2, 3, 3), (3, 1, 2), (3, 2, 3), (3, 3, 1)]),
+    ],
+)
+def test_min_time_pinned_results(spec, size, optimum, examined, witness):
+    res = min_percolation_time(spec, size)
+    assert (res.optimum, res.instances_examined, res.witness.cells()) == (optimum, examined, witness)
 
 
 def test_min_time_matches_engine_on_witness():

@@ -5,8 +5,8 @@ import json
 
 from hypothesis import assume, given, settings, strategies as st
 
+from bootperc.colex import colex_combinations
 from bootperc.dynamics import CellSet, closure, run, write_record_json
-from bootperc.extremal import colex_combinations
 from bootperc.lattice import LatticeSpec, cell_to_index, index_to_cell
 from bootperc.witness import StripContext, build_witness, iter_strip_cells, write_witness_json
 
