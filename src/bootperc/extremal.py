@@ -40,9 +40,13 @@ from .lattice import LATTICE_CACHE_SIZE, LatticeSpec, neighbor_table
 
 DEFAULT_BUDGET = 10**8
 
-# Searches over fewer candidates than this run in this process whatever
-# their parallelism: starting a pool costs more than they take.
-_POOL_MIN = 2**20
+# Searches whose candidates times cells fall below this run in this process
+# whatever their parallelism: starting a pool costs more than they take.
+# Kernel work grows with both, and so does the crossover measured with two
+# workers on two cores: the pool lost at 25-51 M candidate cells ([4]^3 and
+# [8]^2 at size 4, [5]^2 at sizes 8 and 9) and won at 60 M and more ([3]^3
+# at size 8, [6]^2 at size 6, [13]^2 at size 3).
+_POOL_MIN_CELLS = 2**26
 
 
 class BudgetExceededError(RuntimeError):
@@ -114,8 +118,14 @@ def _rounds(spec: LatticeSpec, planes: np.ndarray) -> Iterator[np.ndarray]:
     words = planes.shape[1]
     # past 128 KB (glibc's mmap threshold) fresh arrays come from new
     # zero-filled pages, which doubled the rounds' time on lattices of a few
-    # hundred cells: such planes reuse working arrays kept from call to call
-    work = _scratch(size, words, r) if planes.nbytes > 2**17 else np.empty((r + 3, size, words), np.uint64)
+    # hundred cells, so such planes reuse arrays kept from call to call.
+    # Smaller planes take fresh ones: kept, they outlive the call and raised
+    # the peak RSS of a search-min-set run on [6]^2 with --symmetry from
+    # 32.8 to 33.5 MB (the next chunk's canonicality test ran beside them)
+    if planes.nbytes > 2**17:
+        work = _scratch(size, words, r)
+    else:
+        work = np.empty((r + 3, size, words), np.uint64)
     # at[c]: cells with at least c+1 infected neighbours among the columns
     # seen so far (a bit-sliced saturating counter)
     at, p, both, grown = work[:r], work[r], work[r + 1], work[r + 2]
@@ -261,6 +271,11 @@ def ordered_results(work: Callable, calls: Iterable[tuple], parallelism: int) ->
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _search_parallelism(spec: LatticeSpec, candidates: int, parallelism: int) -> int:
+    """``parallelism``, or 1 for a search too small to pay for a pool."""
+    return parallelism if candidates * spec.size >= _POOL_MIN_CELLS else 1
+
+
 def _size_chunk(spec: LatticeSpec, symmetry: bool, *bounds: int) -> tuple[tuple[int, ...] | None, int]:
     """First percolating candidate of the work unit with these bounds, and
     the candidates tested up to and including it (all of them when none
@@ -300,8 +315,7 @@ def min_percolating_size(
         raise ValueError(f"max_size must be >= 0, got {max_size}")
     max_size = min(max_size, spec.size)
     sizes = _sizes_within_budget(spec.size, range(1, max_size + 1), budget)
-    if sum(comb(spec.size, k) for k in sizes) < _POOL_MIN:
-        parallelism = 1
+    parallelism = _search_parallelism(spec, sum(comb(spec.size, k) for k in sizes), parallelism)
     units = (unit for k in sizes for unit in _units(spec.size, k))
     results = ordered_results(_size_chunk, ((spec, symmetry, *unit) for unit in units), parallelism)
     examined = 0
@@ -367,7 +381,7 @@ def min_percolation_time(
     # the generator reads ``best`` as each call is submitted, so the limit
     # tightens with the results consumed so far
     calls = ((spec, best, *unit) for unit in _units(spec.size, size))
-    results = ordered_results(_time_chunk, calls, parallelism if comb(spec.size, size) >= _POOL_MIN else 1)
+    results = ordered_results(_time_chunk, calls, _search_parallelism(spec, comb(spec.size, size), parallelism))
     with closing(results):
         for t, witness_idx, position, count in results:
             if t is not None and (best is None or t < best):

@@ -56,6 +56,7 @@ def _unit_rows(size, unit):
     index rows and that the padding bits are clear."""
     k = unit[0]
     u = _Unit(size, *unit)
+    assert len(u.valid) <= max(1, min(colex._CHUNK_WORDS, colex._CHUNK_CELLS // (64 * (size + 1))))
     planes = u.planes()
     assert not (planes & ~u.valid).any()
     valid = np.unpackbits(u.valid.view(np.uint8), bitorder="little").astype(bool)
@@ -218,9 +219,9 @@ def _closure_planes(spec, chunk):
 
 @pytest.mark.parametrize("topology", ["grid", "torus"])
 def test_kernel_past_128_kb_matches_small_batches(topology):
-    # planes past 128 KB reuse working arrays from call to call: chunks of
-    # one shape, tested one after another for every threshold, must close
-    # exactly as the same candidates 512 at a time
+    # the kernel reuses its working arrays from call to call: chunks of one
+    # shape past 128 KB, tested one after another for every threshold, must
+    # close exactly as the same candidates 512 at a time
     rng = random.Random(9)
     for r in range(1, 5):
         spec = LatticeSpec(2, 9, topology, r)
@@ -240,7 +241,7 @@ def test_percolating_nine_subsets_of_the_cube():
         for planes in _rounds(spec, u.planes()):
             pass
         total += u.count
-        found += int(np.bitwise_count(_every(planes) & u.valid).sum())
+        found += int(np.unpackbits((_every(planes) & u.valid).view(np.uint8)).sum())
     assert total == comb(27, 9)
     assert found == 116
 
@@ -379,7 +380,7 @@ def test_parallel_search_over_many_chunks_matches_serial(monkeypatch, search):
     # the search
     monkeypatch.setattr(colex, "_CHUNK_WORDS", 1)
     monkeypatch.setattr(colex, "_CHUNK_CELLS", 2**12)
-    monkeypatch.setattr(extremal, "_POOL_MIN", 0)
+    monkeypatch.setattr(extremal, "_POOL_MIN_CELLS", 0)
     assert search(2) == search(1)
     assert multiprocessing.active_children() == []
 
