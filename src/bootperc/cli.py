@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest size to try (default: the whole lattice)")
     p.add_argument("--budget", type=_positive_int, default=None,
                    help=f"max candidate sets to examine (default 10^8, env {BUDGET_ENV_VAR})")
-    p.add_argument("--symmetry", action="store_true", help="prune symmetric candidates")
+    p.add_argument("--symmetry", action="store_true",
+                   help="count candidates up to the lattice symmetries (same search and witness)")
     p.add_argument("--parallelism", type=_positive_int, default=1)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_search_min_set)

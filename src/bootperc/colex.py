@@ -11,7 +11,7 @@ T_j (c the lowest top cell) with the top cells' rows set to all ones.
 Blocks follow the colex order of their top parts and each starts on a word
 boundary; a valid-bit mask clears the padding after each.  The blocks'
 words, laid end to end, are cut into work units (:func:`_units`), and a
-:class:`_Unit` copies its planes, or gathers its index rows, from T_j.
+:class:`_Unit` copies its planes from T_j.
 """
 
 from __future__ import annotations
@@ -139,8 +139,7 @@ def _low_rows(size: int, j: int) -> np.ndarray:
 def _low_table(size: int, j: int) -> np.ndarray:
     """T_j as read-only (size + 1, words) ``uint64`` bit planes: bit m of row
     i set when j-set m of :func:`_low_rows` contains cell i.  Row ``size``
-    and the padding bits stay zero.  The symmetry path reads only the rows,
-    so it never builds these."""
+    and the padding bits stay zero."""
     rows = _low_rows(size, j)
     words = -(-len(rows) // 64)
     planes = np.zeros((size + 1, words), dtype=np.uint64)
@@ -237,13 +236,6 @@ class _Unit:
         planes[cells.ravel(), np.repeat(np.arange(len(cells)), cells.shape[1])] = ~np.uint64(0)
         planes &= self.valid
         return planes
-
-    def indices(self) -> np.ndarray:
-        """(count, k) index array of the unit's candidates, in colex order."""
-        counts = self.hi - self.lo
-        block = np.repeat(np.arange(len(counts)), counts)
-        low = np.arange(self.count) + np.repeat(self.lo - (np.cumsum(counts) - counts), counts)
-        return np.hstack([self.rows[low], self.tops[block]])
 
     def first(self, hits: np.ndarray) -> tuple[tuple[int, ...] | None, int]:
         """The first candidate whose bit is set in ``hits`` (one word per

@@ -14,22 +14,23 @@ array holds cell ``i``'s state in every candidate of the batch, one bit per
 candidate, and one synchronous round of the rule is a handful of numpy
 operations over those rows.  The batches are work units of colex blocks
 copied from a per-process table (see :mod:`bootperc.colex`), never
-unranked one candidate at a time; the symmetry-pruned search gathers the
-units' index rows instead and filters them first.  Whoever tests a unit
-(this process or a pool worker) copies it itself, so units can be tested
-in any process as long as their results are read back in order.  Every
-returned witness is re-validated with an independent engine run before the
-result is handed back.
+unranked one candidate at a time.  Whoever tests a unit (this process or a
+pool worker) copies it itself, so units can be tested in any process as
+long as their results are read back in order.  Every returned witness is
+re-validated with an independent engine run before the result is handed
+back.  A search up to symmetry runs the same units and only counts its
+candidates differently: Burnside's lemma for the sizes below the hit, a
+bit-sliced canonicality test on the seed planes at it.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
-from math import comb
+from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -119,9 +120,9 @@ def _rounds(spec: LatticeSpec, planes: np.ndarray) -> Iterator[np.ndarray]:
     # past 128 KB (glibc's mmap threshold) fresh arrays come from new
     # zero-filled pages, which doubled the rounds' time on lattices of a few
     # hundred cells, so such planes reuse arrays kept from call to call.
-    # Smaller planes take fresh ones: kept, they outlive the call and raised
-    # the peak RSS of a search-min-set run on [6]^2 with --symmetry from
-    # 32.8 to 33.5 MB (the next chunk's canonicality test ran beside them)
+    # Smaller planes take fresh ones: kept for every size, the arrays
+    # outlive the search and raised the peak RSS of search-min-set on [3]^3
+    # up to size 9 from 32.0 to 32.3-32.5 MB
     if planes.nbytes > 2**17:
         work = _scratch(size, words, r)
     else:
@@ -154,57 +155,162 @@ def _every(planes: np.ndarray) -> np.ndarray:
     return np.bitwise_and.reduce(planes[:-1], axis=0)
 
 
+def _bits(words: np.ndarray) -> np.ndarray:
+    """One ``bool`` per bit of a ``uint64`` array, lowest bit first."""
+    return np.unpackbits(words.view(np.uint8), bitorder="little").astype(bool)
+
+
 def _percolating(spec: LatticeSpec, chunk: np.ndarray) -> np.ndarray:
     """Bool mask of the chunk's candidates that percolate."""
     for planes in _rounds(spec, _seed_planes(spec.size, chunk)):
         pass
-    return np.unpackbits(_every(planes).view(np.uint8), bitorder="little")[: len(chunk)].astype(bool)
+    return _bits(_every(planes))[: len(chunk)]
 
 
-# -- symmetry pruning --------------------------------------------------------
+# -- counting up to symmetry -------------------------------------------------
+
+# Cells x maps of the symmetry table that _orbit_counts reads in one pass.
+_MAP_SLAB = 2**16
+# Maps that _canonical_flags applies between two looks at the candidates
+# left; with 8, the 7 maps of a square grid never stop for one.
+_COMPACT_EVERY = 8
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def symmetry_index_maps(spec: LatticeSpec) -> np.ndarray:
-    """Index permutations of the lattice symmetries used for pruning.
+    """Index permutations of the lattice symmetries, the group that
+    searches count up to.
 
     A read-only (maps, size) array, in the dtype of the search chunks, that
     sends each linear index to that of its image.  Grid: the full
     hyperoctahedral group (axis permutations x reflections, 2^d * d!
     elements), each the index grid flipped and transposed.  Torus: the n^d
     coordinate translations, each a roll of the grid.  Row 0 is the
-    identity; canonicality tests use strict comparison.
+    identity.
     """
     d, n = spec.d, spec.n
     grid = np.arange(spec.size, dtype=np.min_scalar_type(spec.size - 1)).reshape((n,) * d)
     if spec.topology == "grid":
-        maps = [
+        count = 2**d * factorial(d)
+        maps = (
             np.flip(grid, [j for j in range(d) if flips[j]]).transpose(np.argsort(axes))
             for axes in permutations(range(d))
             for flips in product((False, True), repeat=d)
-        ]
+        )
     else:
-        maps = [np.roll(grid, [-s for s in shifts], range(d)) for shifts in product(range(n), repeat=d)]
-    table = np.stack(maps).reshape(len(maps), spec.size)
+        count = n**d
+        maps = (np.roll(grid, [-s for s in shifts], range(d)) for shifts in product(range(n), repeat=d))
+    # filled map by map, so that the maps are never held twice
+    table = np.empty((count, spec.size), dtype=grid.dtype)
+    for row, image in zip(table, maps):
+        row.reshape(grid.shape)[...] = image
     table.flags.writeable = False
     return table
 
 
-def _canonical(spec: LatticeSpec, chunk: np.ndarray) -> np.ndarray:
-    """The candidates that no symmetry maps to a smaller bitmask.
+def _orbit_counts(spec: LatticeSpec, top: int) -> list[int]:
+    """Orbits of the k-subsets of the lattice under
+    :func:`symmetry_index_maps`, for k = 0..top.
 
-    Two equal-size sets compare as bitmasks exactly as their elements,
-    sorted descending, compare lexicographically.  Each symmetry is tried
-    only on the candidates that survived the ones before it, so the work
-    shrinks with every map instead of being paid in full for each.
+    Burnside's lemma: the mean over the maps g of the k-sets that g fixes,
+    which is the x^k coefficient of the product over the cycles c of g of
+    (1 + x^|c|).  A fixed k-set is a union of cycles, so only cycles of
+    length at most top count: cell i lies on a cycle of length t when t is
+    the least power with g^t(i) = i.  Maps are read a slab at a time in the
+    table's dtype, and the sums are exact integers.
     """
-    for table in symmetry_index_maps(spec)[1:]:  # all but the identity
-        own = chunk[:, ::-1]
-        image = np.sort(table[chunk], axis=1)[:, ::-1]
-        first = (image != own).argmax(axis=1)
-        rows = np.arange(len(chunk))
-        chunk = chunk[image[rows, first] >= own[rows, first]]
-    return chunk
+    table = symmetry_index_maps(spec)
+    maps, size = table.shape
+    cells = np.arange(size, dtype=table.dtype)
+    types: Counter = Counter()  # cycles of each length 1..top -> maps with them
+    step = max(1, _MAP_SLAB // size)
+    for first in range(0, maps, step):
+        slab = table[first : first + step]
+        rows = np.arange(len(slab))[:, None]
+        power, placed = slab, np.zeros(slab.shape, dtype=bool)
+        cycles = np.zeros((len(slab), top), dtype=np.int64)
+        for t in range(1, top + 1):
+            fixed = power == cells
+            cycles[:, t - 1] = np.count_nonzero(fixed & ~placed, axis=1) // t
+            placed |= fixed
+            if t < top:
+                power = slab[rows, power]  # g^(t + 1)
+        types.update(map(tuple, cycles.tolist()))
+    totals = [0] * (top + 1)
+    for cycle_type, count in types.items():
+        fixed_sets = [1] + [0] * top  # k-sets fixed by one map of this type
+        for length, number in enumerate(cycle_type, 1):
+            if number:
+                fixed_sets = [
+                    sum(comb(number, j) * fixed_sets[k - j * length] for j in range(k // length + 1))
+                    for k in range(top + 1)
+                ]
+        totals = [total + count * f for total, f in zip(totals, fixed_sets)]
+    if any(total % maps for total in totals):
+        raise RuntimeError(f"internal check failed: Burnside sums {totals} not divisible by {maps}")
+    return [total // maps for total in totals]
+
+
+def _canonical_flags(spec: LatticeSpec, *bounds: int) -> np.ndarray:
+    """One ``uint8`` per candidate of the work unit with these bounds, in
+    colex order: 1 when the candidate is canonical, the colex-least set of
+    its orbit under :func:`symmetry_index_maps`.
+
+    Colex order on k-sets is the order of their bitmasks, so an image is
+    smaller when the highest row set in exactly one of the two is set in
+    the candidate.  The image planes under a map g are ``own[g^-1]``; the
+    maps form a group, so ``own[g]`` over all g gives the same images.
+    Before every ``_COMPACT_EVERY`` maps, the candidates not yet beaten are
+    packed into fewer words when they fill at most half the bits, so the
+    work shrinks as they are beaten: on [3]^4 with r = 2 (384 maps) this
+    took a search from 18 to 3 s.
+    """
+    unit = _Unit(spec.size, *bounds)
+    maps = symmetry_index_maps(spec)
+    own, alive = unit.planes()[: spec.size], unit.valid.copy()
+    where = np.arange(64 * len(alive))  # position in the unit of each bit held
+    for first in range(1, len(maps), _COMPACT_EVERY):  # all but the identity
+        bits = _bits(alive)
+        count = int(np.count_nonzero(bits))
+        if not count:
+            break
+        if 2 * count <= len(bits):
+            words = -(-count // 64)
+            cells = np.zeros((spec.size, 64 * words), dtype=np.uint8)
+            cells[:, :count] = np.unpackbits(own.view(np.uint8), axis=1, bitorder="little")[:, bits]
+            own = np.packbits(cells, axis=1, bitorder="little").view(np.uint64)
+            where = where[bits[: len(where)]]  # bits past where's end were never set
+            alive = np.packbits(np.arange(64 * words) < count, bitorder="little").view(np.uint64)
+        top_first = own[::-1]
+        # working arrays made once: past 128 KB fresh ones page-fault every map
+        work, seen = np.empty_like(own), np.zeros((spec.size + 1, own.shape[1]), dtype=np.uint64)
+        for table in maps[first : first + _COMPACT_EVERY]:
+            np.take(own, table, axis=0, out=work)
+            work ^= own
+            # seen[i + 1]: bits differing in a row from the top one down to
+            # row size - 1 - i; seen[0] stays clear
+            np.bitwise_or.accumulate(work[::-1], axis=0, out=seen[1:])
+            # each bit's highest differing row, top row first
+            np.bitwise_xor(seen[1:], seen[:-1], out=work)
+            work &= top_first
+            alive &= ~np.bitwise_or.reduce(work, axis=0)
+    flags = np.zeros(64 * len(unit.valid), dtype=np.uint8)
+    flags[where[_bits(alive)[: len(where)]]] = 1
+    return flags[_bits(unit.valid)]
+
+
+def _canonical_prefix(spec: LatticeSpec, k: int, rank: int, parallelism: int) -> int:
+    """Canonical candidates among the first ``rank`` k-sets in colex order."""
+    calls = ((spec, *unit) for unit in _units(spec.size, k))
+    results = ordered_results(_canonical_flags, calls, parallelism)
+    count = 0
+    with closing(results):
+        for flags in results:
+            count += int(flags[:rank].sum())
+            rank -= len(flags)
+            if rank <= 0:
+                break
+    return count
 
 
 # -- searches ----------------------------------------------------------------
@@ -276,18 +382,12 @@ def _search_parallelism(spec: LatticeSpec, candidates: int, parallelism: int) ->
     return parallelism if candidates * spec.size >= _POOL_MIN_CELLS else 1
 
 
-def _size_chunk(spec: LatticeSpec, symmetry: bool, *bounds: int) -> tuple[tuple[int, ...] | None, int]:
+def _size_chunk(spec: LatticeSpec, *bounds: int) -> tuple[tuple[int, ...] | None, int]:
     """First percolating candidate of the work unit with these bounds, and
     the candidates tested up to and including it (all of them when none
-    percolates).  With ``symmetry`` only canonical candidates are tested.
+    percolates).
     """
     unit = _Unit(spec.size, *bounds)
-    if symmetry:
-        chunk = _canonical(spec, unit.indices())
-        hits = np.flatnonzero(_percolating(spec, chunk))
-        if len(hits):
-            return tuple(chunk[hits[0]].tolist()), int(hits[0]) + 1
-        return None, len(chunk)
     for planes in _rounds(spec, unit.planes()):
         pass
     return unit.first(_every(planes) & unit.valid)
@@ -304,12 +404,19 @@ def min_percolating_size(
     """Smallest k <= max_size for which some k-set percolates, with a witness.
 
     Sizes are tried in increasing order; within a size, candidates follow
-    colex order and the first percolating one wins.  With ``symmetry=True``
-    only candidates that are minimal in their symmetry orbit are tested
-    (same optimum, possibly different witness, flagged on the result).
-    Only the leading sizes whose candidates fit in the budget together are
-    scanned; when none of them percolates and a size was left out, the
-    search raises :class:`BudgetExceededError` with the candidates tested.
+    colex order and the first percolating one wins.  Only the leading sizes
+    whose candidates fit in the budget together are scanned; when none of
+    them percolates and a size was left out, the search raises
+    :class:`BudgetExceededError` with the candidates examined.
+
+    ``symmetry=True`` runs the same search, and the witness is the same:
+    every image of a percolating set percolates, so the colex-first one is
+    the colex-least of its orbit.  It changes only ``instances_examined``
+    (and the flag on the result): it counts orbit representatives, the
+    candidates that no symmetry maps to a colex-smaller set.  Each scanned
+    size below the hit (each scanned size when none percolates) adds its
+    number of orbits, by Burnside's lemma; the hit size adds the canonical
+    candidates up to the witness.
     """
     if max_size < 0:
         raise ValueError(f"max_size must be >= 0, got {max_size}")
@@ -317,15 +424,23 @@ def min_percolating_size(
     sizes = _sizes_within_budget(spec.size, range(1, max_size + 1), budget)
     parallelism = _search_parallelism(spec, sum(comb(spec.size, k) for k in sizes), parallelism)
     units = (unit for k in sizes for unit in _units(spec.size, k))
-    results = ordered_results(_size_chunk, ((spec, symmetry, *unit) for unit in units), parallelism)
-    examined = 0
+    results = ordered_results(_size_chunk, ((spec, *unit) for unit in units), parallelism)
+    examined, hit = 0, None
     with closing(results):
         for hit, count in results:
             examined += count
             if hit is not None:
-                witness = CellSet.from_indices(spec.d, spec.n, hit)
-                _revalidate_percolation(spec, witness)
-                return SearchResult("min_size", len(hit), witness, examined, True, symmetry)
+                break
+    below = len(sizes) if hit is None else len(hit) - 1  # sizes scanned in full
+    if symmetry:
+        rank = examined - sum(comb(spec.size, k) for k in range(1, below + 1))
+        examined = sum(_orbit_counts(spec, below)[1:])
+        if hit is not None:
+            examined += _canonical_prefix(spec, len(hit), rank, parallelism)
+    if hit is not None:
+        witness = CellSet.from_indices(spec.d, spec.n, hit)
+        _revalidate_percolation(spec, witness)
+        return SearchResult("min_size", len(hit), witness, examined, True, symmetry)
     if len(sizes) < max_size:
         raise BudgetExceededError(
             f"no set of size <= {len(sizes)} percolates and size {len(sizes) + 1} would exceed "

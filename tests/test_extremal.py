@@ -50,6 +50,15 @@ def test_colex_degenerate():
     assert list(colex_combinations(3, 4)) == []
 
 
+def _indices(u):
+    """(count, k) index array of a work unit's candidates, block by block:
+    the j-sets of ranks lo:hi of T_j below each top part."""
+    return np.vstack([
+        np.hstack([u.rows[lo:hi], np.broadcast_to(top, (hi - lo, len(top)))])
+        for top, lo, hi in zip(u.tops, u.lo.tolist(), u.hi.tolist())
+    ])
+
+
 def _unit_rows(size, unit):
     """A work unit's candidates read off its seed planes (the valid bits'
     columns) as a (count, k) index array; checks that they equal the unit's
@@ -63,7 +72,7 @@ def _unit_rows(size, unit):
     cells = np.unpackbits(planes.view(np.uint8), axis=1, bitorder="little")[:, valid]
     assert (cells[:size].sum(axis=0) == k).all() and not cells[size].any()
     rows = np.nonzero(cells.T)[1].reshape(u.count, k)
-    assert rows.tolist() == u.indices().tolist()
+    assert rows.tolist() == _indices(u).tolist()
     return rows
 
 
@@ -109,7 +118,7 @@ def test_colex_chunks_on_large_lattices(monkeypatch):
     units = list(_units(1300, 2))
     parts = [_Unit(1300, *unit) for unit in units]
     assert max(len(part.valid) for part in parts) == colex._CHUNK_CELLS // (64 * 1301) < colex._CHUNK_WORDS
-    rows = np.vstack([part.indices() for part in parts])
+    rows = np.vstack([_indices(part) for part in parts])
     assert rows.tolist() == [list(c) for c in colex_combinations(1300, 2)]
     # the planes of the first and the last unit hold the same rows
     assert _unit_rows(1300, units[0]).tolist() == rows[: parts[0].count].tolist()
@@ -310,6 +319,101 @@ def test_min_size_symmetry_cross_check():
         assert run(spec, pruned.witness).percolates
 
 
+def _orbit_representatives(spec, max_size):
+    """Oracle for ``instances_examined`` with ``symmetry=True``: walks the
+    k-sets in colex order, size by size, keeps those that no map sends to a
+    colex-smaller set (equal-size sets compare in colex order as their
+    cells, sorted descending, compare as lists), and counts them up to and
+    including the first that percolates.  Returns the count and that set."""
+    maps = symmetry_index_maps(spec).tolist()
+    count = 0
+    for k in range(1, max_size + 1):
+        for cells in colex_combinations(spec.size, k):
+            key = sorted(cells, reverse=True)
+            if any(sorted((g[c] for c in cells), reverse=True) < key for g in maps):
+                continue
+            count += 1
+            if run(spec, CellSet.from_indices(spec.d, spec.n, cells)).percolates:
+                return count, cells
+    return count, None
+
+
+@pytest.mark.parametrize(
+    "spec,max_size",
+    [
+        (LatticeSpec(2, 4), 16),
+        (LatticeSpec(3, 2), 8),
+        (LatticeSpec(2, 4, "torus"), 16),
+        (LatticeSpec(2, 5, "torus"), 25),
+        (LatticeSpec(3, 3, r=2), 9),
+        (LatticeSpec(2, 4, r=1), 4),  # a hit at size 1: no size below it
+        (LatticeSpec(2, 4), 3),  # no hit: every scanned size adds its orbits
+        (LatticeSpec(3, 3, "torus"), 1),
+    ],
+)
+def test_symmetric_count_matches_orbit_oracle(spec, max_size):
+    res = min_percolating_size(spec, max_size, symmetry=True)
+    examined, hit = _orbit_representatives(spec, max_size)
+    assert res.instances_examined == examined
+    assert (res.witness is None) == (hit is None)
+    if hit is not None:
+        assert sorted(res.witness.indices()) == list(hit)
+
+
+def test_symmetric_budget_refusal_counts_orbits():
+    # sizes 1 and 2 of [5]^2 fit in the budget and none percolates: 6 orbits
+    # of cells and 49 of pairs
+    with pytest.raises(BudgetExceededError) as info:
+        min_percolating_size(LatticeSpec(2, 5), 12, budget=1000, symmetry=True)
+    assert info.value.examined == _orbit_representatives(LatticeSpec(2, 5), 2)[0] == 6 + 49
+
+
+@pytest.mark.parametrize("spec,max_size,examined", [(LatticeSpec(2, 6), 6, 254391), (LatticeSpec(3, 3), 9, 176083)])
+def test_symmetric_count_pinned(spec, max_size, examined):
+    # the canonical candidates tested up to the witness by the search that
+    # filtered every candidate before the kernel
+    res = min_percolating_size(spec, max_size, symmetry=True)
+    assert res.instances_examined == examined
+    assert res.witness == min_percolating_size(spec, max_size).witness
+
+
+def _orbit_minima(spec):
+    """Every subset of the lattice as a bitmask: the least bitmask of its
+    orbit, found by applying every map, and its number of cells."""
+    masks = np.arange(2**spec.size, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(spec.size)) & 1
+    least = np.min([(bits << g.astype(np.int64)).sum(axis=1) for g in symmetry_index_maps(spec)], axis=0)
+    return least, bits.sum(axis=1)
+
+
+# translations of odd and even n have several cycle types
+_SMALL_GROUPS = [LatticeSpec(3, 2), LatticeSpec(2, 3), LatticeSpec(2, 4), LatticeSpec(2, 3, "torus"),
+                 LatticeSpec(2, 4, "torus")]
+
+
+@pytest.mark.parametrize("spec", _SMALL_GROUPS)
+def test_burnside_orbit_counts_match_brute_force(spec):
+    least, sizes = _orbit_minima(spec)
+    counts = extremal._orbit_counts(spec, spec.size)
+    assert counts == np.bincount(sizes[least == np.arange(len(least))], minlength=spec.size + 1).tolist()
+    assert sum(counts) == len(np.unique(least))
+    # truncated at a smaller size, the leading counts stay
+    assert extremal._orbit_counts(spec, 2) == counts[:3]
+
+
+@pytest.mark.parametrize("spec", _SMALL_GROUPS)
+def test_canonical_flags_match_brute_force(monkeypatch, spec):
+    # k-sets in colex order are their bitmasks in increasing order, so the
+    # canonical flags of all of size k, unit after unit, are the brute-force
+    # orbit minima among the bitmasks with k bits
+    monkeypatch.setattr(colex, "_CHUNK_WORDS", 1)
+    least, sizes = _orbit_minima(spec)
+    canonical = least == np.arange(len(least))
+    for k in range(spec.size + 1):
+        flags = [extremal._canonical_flags(spec, *unit) for unit in _units(spec.size, k)]
+        assert np.concatenate(flags).tolist() == canonical[sizes == k].tolist()
+
+
 @pytest.mark.parametrize(
     "spec,max_size,examined,witness",
     [
@@ -370,10 +474,15 @@ def test_one_neighbour_minimum_is_one():
         lambda p: min_percolating_size(LatticeSpec(2, 3), 9, parallelism=p),  # hit at k=3
         lambda p: min_percolating_size(LatticeSpec(2, 4), 3, parallelism=p),  # no hit
         lambda p: min_percolating_size(LatticeSpec(2, 4), 4, symmetry=True, parallelism=p),
+        # the canonical candidates of size 3 up to the witness are counted
+        # over 7 one-word units
+        lambda p: min_percolating_size(LatticeSpec(2, 4, "torus"), 16, symmetry=True, parallelism=p),
+        lambda p: min_percolating_size(LatticeSpec(2, 4), 3, symmetry=True, parallelism=p),  # no hit
         lambda p: min_percolation_time(LatticeSpec(2, 4), 4, parallelism=p),
         lambda p: min_percolation_time(LatticeSpec(3, 2), 4, parallelism=p),  # floor-time hit
     ],
-    ids=["size-hit", "size-no-hit", "size-symmetry", "time", "time-floor-hit"],
+    ids=["size-hit", "size-no-hit", "size-symmetry", "size-symmetry-torus", "size-symmetry-no-hit", "time",
+         "time-floor-hit"],
 )
 def test_parallel_search_over_many_chunks_matches_serial(monkeypatch, search):
     # one-word units, blocks on [4]^2 from k = 3, and a pool however small
