@@ -3,15 +3,17 @@ searches copy their candidates from.
 
 Colex compares k-sets by their largest element first, then recurses on
 the rest.  It is prefix-stable: the j-subsets of range(c) are the first
-comb(c, j) j-subsets of range(size).  So a table T_j, built once per
-process for a j <= k picked by :func:`_low_size`, holds every
+comb(c, j) j-subsets of range(size).  So a table T_j of bit planes, built
+once per process for a j <= k picked by :func:`_low_size`, holds every
 candidate's low part: the k-sets that share their top k - j cells
 form one colex block, whose bit planes are the first comb(c, j) columns of
 T_j (c the lowest top cell) with the top cells' rows set to all ones.
 Blocks follow the colex order of their top parts and each starts on a word
 boundary; a valid-bit mask clears the padding after each.  The blocks'
 words, laid end to end, are cut into work units (:func:`_units`), and a
-:class:`_Unit` copies its planes from T_j.
+:class:`_Unit` copies its planes from T_j.  No index rows are stored: the
+one builder of bit planes from index rows, :func:`_seed_planes`, makes T_j
+a slab at a time, and a unit unranks again the one low part it returns.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ _CHUNK_WORDS = 2**9
 # planes, so that either takes at most 512 KB; lattices under 128 cells
 # keep the full _CHUNK_WORDS.
 _CHUNK_CELLS = 2**22
-# Rows of T_j made in one numpy pass while building it.
+# j-sets of T_j made in one numpy pass while building it: a multiple of 64,
+# so that each pass fills whole words.
 _SLAB = 2**12
 # _LOW_BITS[i]: a word with its i lowest bits set
 _LOW_BITS = np.array([2**i - 1 for i in range(65)], dtype=np.uint64)
@@ -118,38 +121,37 @@ def _block_sizes(size: int, j: int) -> np.ndarray:
     return np.array([comb(c, j) for c in range(size + 1)], dtype=np.int64)
 
 
-@lru_cache(maxsize=LATTICE_CACHE_SIZE)
-def _low_rows(size: int, j: int) -> np.ndarray:
-    """The j-subsets of range(size) in colex order, as a read-only
-    (comb(size, j), j) index array: the index rows of T_j.
-
-    Colex order is prefix-stable: the j-subsets of range(c) are the first
-    comb(c, j) of them, so every block of a search is a prefix of T_j.
-    """
-    total = comb(size, j)
-    rows = np.empty((total, j), dtype=np.min_scalar_type(max(size - 1, 0)))
-    # unranked a slab at a time, so that no temporary grows with the table
-    for first in range(0, total, _SLAB):
-        rows[first : first + _SLAB] = _colex_chunk(size, j, first, min(first + _SLAB, total))
-    rows.flags.writeable = False
-    return rows
+def _seed_planes(size: int, rows: np.ndarray) -> np.ndarray:
+    """Bit planes of a (count, k) index array, one candidate per row:
+    (size + 1, words) ``uint64``, bit m of row i set when row m names cell
+    i, written straight into words.  The padding bits stay zero, and so does
+    row ``size`` unless a row names it; the -1 entries of
+    ``neighbor_table`` read that row as a missing, healthy neighbour."""
+    words = -(-len(rows) // 64)
+    planes = np.zeros((size + 1, words), dtype=np.uint64)
+    m = np.arange(len(rows))
+    bits = np.left_shift(np.uint64(1), (m % 64).astype(np.uint64))
+    for cells in rows.T:
+        # unbuffered: the same cell may take several bits of one word
+        np.bitwise_or.at(planes.reshape(-1), cells.astype(np.intp) * words + m // 64, bits)
+    return planes
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def _low_table(size: int, j: int) -> np.ndarray:
     """T_j as read-only (size + 1, words) ``uint64`` bit planes: bit m of row
-    i set when j-set m of :func:`_low_rows` contains cell i.  Row ``size``
-    and the padding bits stay zero."""
-    rows = _low_rows(size, j)
-    words = -(-len(rows) // 64)
-    planes = np.zeros((size + 1, words), dtype=np.uint64)
-    flat = planes.reshape(-1)
-    # straight into words, a slab of subsets at a time
-    for first in range(0, len(rows), _SLAB):
-        m = np.arange(first, min(first + _SLAB, len(rows)))
-        bits = np.left_shift(np.uint64(1), (m % 64).astype(np.uint64))
-        for cells in rows[m].T:
-            np.bitwise_or.at(flat, cells.astype(np.intp) * words + m // 64, bits)
+    i set when the j-subset of range(size) of colex rank m contains cell i.
+    Row ``size`` and the padding bits stay zero.
+
+    Colex order is prefix-stable: the j-subsets of range(c) are the first
+    comb(c, j) of them, so every block of a search is a prefix of T_j.
+    """
+    total = comb(size, j)
+    planes = np.empty((size + 1, -(-total // 64)), dtype=np.uint64)
+    # a slab of whole words at a time, so that no temporary grows with the table
+    for first in range(0, total, _SLAB):
+        stop = min(first + _SLAB, total)
+        planes[:, first // 64 : -(-stop // 64)] = _seed_planes(size, _colex_chunk(size, j, first, stop))
     planes.flags.writeable = False
     return planes
 
@@ -205,9 +207,8 @@ class _Unit:
 
     def __init__(self, size: int, k: int, start: int, first: int, stop: int, last: int):
         j = _low_size(size, k)
-        self.size, self.j, self.rows = size, j, _low_rows(size, j)
-        tops = _colex_chunk(size - j, k - j, start, stop + (last > 0))
-        self.tops = (tops.astype(np.intp) + j).astype(self.rows.dtype)
+        self.size, self.j = size, j
+        self.tops = _colex_chunk(size - j, k - j, start, stop + (last > 0)).astype(np.intp) + j
         self.hi = _block_sizes(size, j)[_lowest(size, self.tops)]
         self.lo = np.zeros_like(self.hi)
         self.lo[0] = 64 * first
@@ -220,22 +221,26 @@ class _Unit:
         self.column = np.arange(len(self.block)) + np.repeat(self.lo // 64 - (np.cumsum(words) - words), words)
         self.valid = _LOW_BITS[np.clip(self.hi[self.block] - 64 * self.column, 0, 64)]
 
-    def planes(self) -> np.ndarray:
+    def planes(self, out: np.ndarray | None = None) -> np.ndarray:
         """Seed state of the unit's candidates: (size + 1, words) ``uint64``,
         the block's words of T_j with its top cells' rows set, and every
-        padding bit clear (an empty set, which never changes)."""
+        padding bit clear (an empty set, which never changes).  Written
+        into ``out`` when given (every bit of it), else into a new array."""
+        if out is None:
+            out = np.empty((self.size + 1, len(self.column)), dtype=np.uint64)
         if self.j == 1:
             # T_1 is the identity: bit t of word w is cell 64 w + t
-            planes = np.zeros((self.size + 1, len(self.column)), dtype=np.uint64)
+            out.fill(0)
             cells = 64 * self.column[:, None] + np.arange(64)
             word, bit = np.nonzero(cells < self.size)
-            planes[cells[word, bit], word] = np.left_shift(np.uint64(1), bit.astype(np.uint64))
+            out[cells[word, bit], word] = np.left_shift(np.uint64(1), bit.astype(np.uint64))
         else:
-            planes = np.take(_low_table(self.size, self.j), self.column, axis=1)  # C order, unlike [:, column]
+            # unbuffered into out, unlike mode="raise"
+            np.take(_low_table(self.size, self.j), self.column, axis=1, out=out, mode="clip")
         cells = self.tops[self.block]
-        planes[cells.ravel(), np.repeat(np.arange(len(cells)), cells.shape[1])] = ~np.uint64(0)
-        planes &= self.valid
-        return planes
+        out[cells.ravel(), np.repeat(np.arange(len(cells)), cells.shape[1])] = ~np.uint64(0)
+        out &= self.valid
+        return out
 
     def first(self, hits: np.ndarray) -> tuple[tuple[int, ...] | None, int]:
         """The first candidate whose bit is set in ``hits`` (one word per
@@ -248,4 +253,5 @@ class _Unit:
         word, b = int(hits[w]), int(self.block[w])
         low = 64 * int(self.column[w]) + (word & -word).bit_length() - 1
         before = int((self.hi[:b] - self.lo[:b]).sum())
-        return (*self.rows[low].tolist(), *self.tops[b].tolist()), before + low - int(self.lo[b]) + 1
+        cells = (*_colex_chunk(self.size, self.j, low, low + 1)[0].tolist(), *self.tops[b].tolist())
+        return cells, before + low - int(self.lo[b]) + 1

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .colex import _Unit, _units
+from .colex import _seed_planes, _Unit, _units
 from .dynamics import CellSet, _check_compatible, _index_array, run
 from .lattice import LATTICE_CACHE_SIZE, LatticeSpec, neighbor_table
 
@@ -87,46 +87,33 @@ class SearchResult:
 # -- the batch kernel -----------------------------------------------------------
 
 
-def _seed_planes(size: int, chunk: np.ndarray) -> np.ndarray:
-    """Transposed seed state of a chunk: (size + 1, W) ``uint64``, bit c of
-    row i set when candidate c contains cell i.  Row ``size`` stays zero; the
-    -1 entries of ``neighbor_table`` read it as a missing, healthy neighbour.
+@lru_cache(maxsize=2)
+def _kept(*shape: int) -> np.ndarray:
+    """A ``uint64`` array of this shape kept for the process, for the last
+    two shapes asked for: a search unit's planes and the working arrays of
+    its :func:`_rounds`.
+
+    Past 128 KB (glibc's mmap threshold) fresh arrays come from new
+    zero-filled pages: a fresh 320 KB planes array per unit made
+    search-min-set on [200]^2 take 79 K minor page faults and 0.52 s of CPU
+    instead of 1.4 K and 0.39 s (in process, 2-core host), and fresh
+    working arrays doubled the rounds' time on lattices of a few hundred
+    cells.  Whoever takes one writes it before reading it.
     """
-    count = len(chunk)
-    words = -(-count // 64)
-    grid = np.zeros((size + 1, 64 * words), dtype=bool)
-    flat, candidates = grid.reshape(-1), np.arange(count)
-    for cells in chunk.T:
-        flat[cells.astype(np.intp) * (64 * words) + candidates] = True
-    return np.packbits(grid, axis=1, bitorder="little").view("<u8")
-
-
-@lru_cache(maxsize=1)
-def _scratch(size: int, words: int, r: int) -> np.ndarray:
-    """Working arrays of :func:`_rounds` for ``words``-word planes."""
-    return np.empty((r + 3, size, words), dtype=np.uint64)
+    return np.empty(shape, dtype=np.uint64)
 
 
 def _rounds(spec: LatticeSpec, planes: np.ndarray) -> Iterator[np.ndarray]:
     """Update ``planes`` in place by synchronous rounds, yielding it after
     round 0 (the seeds), 1, 2, ... until no candidate changes; the last
     state yielded is every candidate's closure.  Calls share their working
-    arrays, so a call must be done with (exhausted or dropped) before the
-    next one starts.
+    arrays (see :func:`_kept`), so a call must be done with (exhausted or
+    dropped) before the next one starts; every round writes them before it
+    reads them.
     """
     size, r = spec.size, spec.r
     columns = neighbor_table(spec).T
-    words = planes.shape[1]
-    # past 128 KB (glibc's mmap threshold) fresh arrays come from new
-    # zero-filled pages, which doubled the rounds' time on lattices of a few
-    # hundred cells, so such planes reuse arrays kept from call to call.
-    # Smaller planes take fresh ones: kept for every size, the arrays
-    # outlive the search and raised the peak RSS of search-min-set on [3]^3
-    # up to size 9 from 32.0 to 32.3-32.5 MB
-    if planes.nbytes > 2**17:
-        work = _scratch(size, words, r)
-    else:
-        work = np.empty((r + 3, size, words), np.uint64)
+    work = _kept(r + 3, size, planes.shape[1])
     # at[c]: cells with at least c+1 infected neighbours among the columns
     # seen so far (a bit-sliced saturating counter)
     at, p, both, grown = work[:r], work[r], work[r + 1], work[r + 2]
@@ -267,7 +254,7 @@ def _canonical_flags(spec: LatticeSpec, *bounds: int) -> np.ndarray:
     """
     unit = _Unit(spec.size, *bounds)
     maps = symmetry_index_maps(spec)
-    own, alive = unit.planes()[: spec.size], unit.valid.copy()
+    own, alive = unit.planes(_kept(spec.size + 1, len(unit.valid)))[: spec.size], unit.valid.copy()
     where = np.arange(64 * len(alive))  # position in the unit of each bit held
     for first in range(1, len(maps), _COMPACT_EVERY):  # all but the identity
         bits = _bits(alive)
@@ -388,9 +375,9 @@ def _size_chunk(spec: LatticeSpec, *bounds: int) -> tuple[tuple[int, ...] | None
     percolates).
     """
     unit = _Unit(spec.size, *bounds)
-    for planes in _rounds(spec, unit.planes()):
+    for planes in _rounds(spec, unit.planes(_kept(spec.size + 1, len(unit.valid)))):
         pass
-    return unit.first(_every(planes) & unit.valid)
+    return unit.first(_every(planes))
 
 
 def min_percolating_size(
@@ -460,10 +447,10 @@ def _time_chunk(
     length); time and achiever are None when no candidate beats ``limit``.
     """
     unit = _Unit(spec.size, *bounds)
-    for t, planes in enumerate(_rounds(spec, unit.planes())):
+    for t, planes in enumerate(_rounds(spec, unit.planes(_kept(spec.size + 1, len(unit.valid))))):
         if limit is not None and t >= limit:
             break
-        hit, position = unit.first(_every(planes) & unit.valid)
+        hit, position = unit.first(_every(planes))
         if hit is not None:
             return t, hit, position, unit.count
     return None, None, unit.count, unit.count

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bootperc import colex, extremal
-from bootperc.colex import _Unit, _low_rows, _low_size, _low_table, _units, colex_combinations
+from bootperc.colex import (
+    _colex_chunk,
+    _low_size,
+    _low_table,
+    _seed_planes,
+    _Unit,
+    _units,
+    colex_combinations,
+)
 from bootperc.constructions import diagonal, hyperplane_union
 from bootperc.dynamics import CellSet, closure, run
 from bootperc.extremal import (
@@ -15,7 +23,6 @@ from bootperc.extremal import (
     NoPercolatingSetError,
     _every,
     _rounds,
-    _seed_planes,
     is_minimal,
     min_percolating_size,
     min_percolation_time,
@@ -52,9 +59,9 @@ def test_colex_degenerate():
 
 def _indices(u):
     """(count, k) index array of a work unit's candidates, block by block:
-    the j-sets of ranks lo:hi of T_j below each top part."""
+    the j-sets of colex ranks lo:hi below each top part."""
     return np.vstack([
-        np.hstack([u.rows[lo:hi], np.broadcast_to(top, (hi - lo, len(top)))])
+        np.hstack([_colex_chunk(u.size, u.j, lo, hi), np.broadcast_to(top, (hi - lo, len(top)))])
         for top, lo, hi in zip(u.tops, u.lo.tolist(), u.hi.tolist())
     ])
 
@@ -62,12 +69,17 @@ def _indices(u):
 def _unit_rows(size, unit):
     """A work unit's candidates read off its seed planes (the valid bits'
     columns) as a (count, k) index array; checks that they equal the unit's
-    index rows and that the padding bits are clear."""
+    index rows, that the padding bits are clear, that every bit of an
+    ``out`` array is written, and that without one each call returns a new
+    array."""
     k = unit[0]
     u = _Unit(size, *unit)
     assert len(u.valid) <= max(1, min(colex._CHUNK_WORDS, colex._CHUNK_CELLS // (64 * (size + 1))))
     planes = u.planes()
     assert not (planes & ~u.valid).any()
+    out = np.full_like(planes, ~np.uint64(0))
+    assert u.planes(out) is out and np.array_equal(out, planes)
+    assert not np.shares_memory(u.planes(), planes)
     valid = np.unpackbits(u.valid.view(np.uint8), bitorder="little").astype(bool)
     cells = np.unpackbits(planes.view(np.uint8), axis=1, bitorder="little")[:, valid]
     assert (cells[:size].sum(axis=0) == k).all() and not cells[size].any()
@@ -102,14 +114,40 @@ def test_low_size_and_table_bounds():
     assert [_low_size(27, k) for k in (0, 3, 5, 9, 25)] == [0, 3, 5, 5, 25]
     assert (_low_size(36, 6), _low_size(1300, 2), _low_size(1200, 1199)) == (4, 1, 1199)
     assert (_low_size(2048, 2), _low_size(40000, 1), _low_size(40000, 0)) == (1, 1, 0)
-    assert None not in (_low_table.cache_info().maxsize, _low_rows.cache_info().maxsize)
+    assert _low_table.cache_info().maxsize is not None
     for size, j in [(27, 5), (36, 4), (1300, 1)]:
-        planes, rows = _low_table(size, j), _low_rows(size, j)
+        planes, rows = _low_table(size, j), np.array(list(colex_combinations(size, j)))
         assert planes.shape == (size + 1, -(-comb(size, j) // 64))
         assert 64 * planes.size <= colex._CHUNK_CELLS
-        assert rows.tolist() == [list(c) for c in colex_combinations(size, j)]
+        assert _colex_chunk(size, j, 0, len(rows)).tolist() == rows.tolist()
         bits = np.unpackbits(planes.view(np.uint8), axis=1, bitorder="little")
         assert np.nonzero(bits.T)[1].reshape(rows.shape).tolist() == rows.tolist()
+
+
+def _scattered_planes(size, rows):
+    """Reference for ``_seed_planes``: a bool grid set one cell of one
+    candidate at a time, packed into words."""
+    grid = np.zeros((size + 1, 64 * -(-len(rows) // 64)), dtype=bool)
+    for m, row in enumerate(rows.tolist()):
+        grid[row, m] = True
+    return np.packbits(grid, axis=1, bitorder="little").view("<u8")
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 4097])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_seed_planes_match_a_bool_scatter(count, dtype):
+    # rows of any cells up to ``size`` included: column 3 repeats column 2
+    # in every other row, column 4 is cell 7 in every candidate of every
+    # word, and row 0 names cell ``size``
+    size, rng = 90, np.random.default_rng(count)
+    rows = rng.integers(0, size + 1, size=(count, 5)).astype(dtype)
+    rows[::2, 3] = rows[::2, 2]
+    rows[:, 4] = 7
+    rows[:1, 0] = size
+    for width in (5, 1, 0):
+        planes = _seed_planes(size, rows[:, :width])
+        assert planes.dtype == np.uint64 and planes.shape == (size + 1, -(-count // 64))
+        assert np.array_equal(planes, _scattered_planes(size, rows[:, :width]))
 
 
 def test_colex_chunks_on_large_lattices(monkeypatch):
@@ -228,31 +266,46 @@ def _closure_planes(spec, chunk):
 
 @pytest.mark.parametrize("topology", ["grid", "torus"])
 def test_kernel_past_128_kb_matches_small_batches(topology):
-    # the kernel reuses its working arrays from call to call: chunks of one
-    # shape past 128 KB, tested one after another for every threshold, must
-    # close exactly as the same candidates 512 at a time
+    # the kernel keeps its working arrays from call to call (extremal._kept):
+    # consecutive calls alternate r and plane widths on either side of
+    # 128 KB, the working arrays are filled with ones before each whole
+    # chunk, and every chunk must close exactly as its candidates 512 at a
+    # time
     rng = random.Random(9)
-    for r in range(1, 5):
-        spec = LatticeSpec(2, 9, topology, r)
-        chunk = _random_chunk(rng, spec.size, rng.randint(5, 30), 64 * 256)
-        assert _seed_planes(spec.size, chunk).nbytes > 2**17
+    cases = [
+        (LatticeSpec(2, 9, topology, r), _random_chunk(rng, 81, rng.randint(5, 30), count))
+        for r in (1, 4, 2, 3)
+        for count in (64 * 256, 64 * 8 + 3)
+    ]
+    assert _seed_planes(81, cases[0][1]).nbytes > 2**17 > _seed_planes(81, cases[1][1]).nbytes
+    for spec, chunk in cases:
         parts = [_closure_planes(spec, chunk[i : i + 512]) for i in range(0, len(chunk), 512)]
+        extremal._kept(spec.r + 3, spec.size, -(-len(chunk) // 64)).fill(~np.uint64(0))
         assert np.array_equal(_closure_planes(spec, chunk), np.hstack(parts))
+
+
+def _percolating_count(spec, k):
+    """The k-sets of the lattice and those that percolate, read off the
+    units' closures with no valid-bit mask; checks that the padding bits,
+    empty sets, stay clear after every round."""
+    total = found = 0
+    for unit in _units(spec.size, k):
+        u = _Unit(spec.size, *unit)
+        for planes in _rounds(spec, u.planes()):
+            assert not (planes & ~u.valid).any()
+        total += u.count
+        found += int(np.unpackbits(_every(planes).view(np.uint8)).sum())
+    return total, found
 
 
 def test_percolating_nine_subsets_of_the_cube():
     # pinned regression value: exactly 116 of the C(27, 9) nine-subsets of
     # [3]^3 percolate under the 3-neighbour rule
-    spec = LatticeSpec(3, 3)
-    total = found = 0
-    for unit in _units(spec.size, 9):
-        u = _Unit(spec.size, *unit)
-        for planes in _rounds(spec, u.planes()):
-            pass
-        total += u.count
-        found += int(np.unpackbits((_every(planes) & u.valid).view(np.uint8)).sum())
-    assert total == comb(27, 9)
-    assert found == 116
+    assert _percolating_count(LatticeSpec(3, 3), 9) == (comb(27, 9), 116)
+    # every nonempty set percolates with r = 1, no six-set with r = 2d
+    for topology in ("grid", "torus"):
+        assert _percolating_count(LatticeSpec(3, 3, topology, 1), 6) == (comb(27, 6), comb(27, 6))
+        assert _percolating_count(LatticeSpec(3, 3, topology, 6), 6) == (comb(27, 6), 0)
 
 
 # -- min_percolating_size --------------------------------------------------------
