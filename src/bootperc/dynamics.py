@@ -411,7 +411,8 @@ def run(
 
     t = 0
     while len(batch):
-        hits = table[batch].ravel()
+        # one cast of the int32 rows: the round's other indexing stays intp
+        hits = table[batch].ravel().astype(np.intp)
         hits = hits[times[hits] < 0]
         candidates, gained = np.unique(hits, return_counts=True)
         counts[candidates] += gained

@@ -31,7 +31,8 @@ Topology = Literal["grid", "torus"]
 MAX_CELLS = 2**32
 
 # Entries kept by each per-lattice cache.  Callers work on one lattice at a
-# time and sweeps never revisit one, so an unbounded cache only holds memory.
+# time and sweeps never revisit one, so an unbounded cache only holds memory;
+# the neighbour table, the largest of them, keeps one entry.
 LATTICE_CACHE_SIZE = 4
 
 
@@ -155,22 +156,36 @@ def levels(d: int, n: int) -> np.ndarray:
     return sum(np.indices((n,) * d, dtype=dtype, sparse=True), dtype.type(d)).ravel()
 
 
-@lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def index_dtype(size: int) -> np.dtype:
+    """Signed dtype of the neighbour table of a ``size``-cell lattice:
+    int32 while every index and -1 fit (size <= 2^31), int64 above."""
+    return np.dtype(np.int32 if size <= 2**31 else np.int64)
+
+
+@lru_cache(maxsize=1)
 def neighbor_table(spec: LatticeSpec) -> np.ndarray:
     """(size, 2d) array of neighbour indices, -1 where a grid neighbour is missing.
 
     Column order matches :func:`neighbors`: (dim1-, dim1+, dim2-, dim2+, ...).
-    Each column is the index grid rolled by one step along an axis, so it
-    wraps around the torus; on the grid the wrapped slice is set to -1.
+    The dtype is :func:`index_dtype`: int32 up to 2^31 cells, half the
+    bytes of int64.  Along each axis the two columns are slice copies of
+    the index grid shifted by one step; the edge slice left over is -1 on
+    the grid and the opposite face on the torus.  One table is cached,
+    since callers work on one lattice at a time.
     """
     n, d = spec.n, spec.d
-    grid = np.arange(spec.size, dtype=np.int64).reshape((n,) * d)
-    table = np.empty((n,) * d + (2 * d,), dtype=np.int64)
+    dtype = index_dtype(spec.size)
+    grid = np.arange(spec.size, dtype=dtype).reshape((n,) * d)
+    table = np.empty((n,) * d + (2 * d,), dtype=dtype)
+    torus = spec.topology == "torus"
     for axis in range(d):
-        for col, step, edge in ((2 * axis, 1, 0), (2 * axis + 1, -1, n - 1)):
-            table[..., col] = np.roll(grid, step, axis)
-            if spec.topology == "grid":
-                np.moveaxis(table[..., col], axis, 0)[edge] = -1
+        along = np.moveaxis(grid, axis, 0)
+        minus = np.moveaxis(table[..., 2 * axis], axis, 0)
+        plus = np.moveaxis(table[..., 2 * axis + 1], axis, 0)
+        minus[1:] = along[:-1]
+        plus[:-1] = along[1:]
+        minus[0] = along[-1] if torus else -1
+        plus[-1] = along[0] if torus else -1
     return table.reshape(spec.size, 2 * d)
 
 

@@ -285,6 +285,33 @@ def test_oracle_does_not_read_the_neighbour_table(monkeypatch):
     assert run_naive(spec, seed, audit=True) == reference
 
 
+def _int64_table_cases():
+    for d, n in ((1, 7), (2, 5), (3, 4), (4, 3)):
+        for topology in ("grid", "torus"):
+            yield d, n, topology
+
+
+@pytest.mark.parametrize("d,n,topology", list(_int64_table_cases()))
+def test_int32_table_gives_the_int64_results(monkeypatch, d, n, topology):
+    """The engine reads the same records from the int32 table as from an int64 copy."""
+    original = lattice.neighbor_table
+    assert original(LatticeSpec(d, n, topology)).dtype == np.int32
+    rng = random.Random(f"{d}-{n}-{topology}")
+    size = n**d
+    for r in range(1, 2 * d + 1):
+        spec = LatticeSpec(d, n, topology, r)
+        trace = topology == "grid"
+        for _ in range(3):
+            seed = CellSet.from_indices(d, n, rng.sample(range(size), rng.randrange(1, size // 2 + 1)))
+            narrow = run(spec, seed, audit=True, record_trace=trace)
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "neighbor_table", lambda s: original(s).astype(np.int64))
+                wide = run(spec, seed, audit=True, record_trace=trace)
+            assert np.array_equal(narrow.times_array, wide.times_array)
+            assert np.array_equal(narrow.audit_array, wide.audit_array)
+            assert narrow.perimeter_trace == wide.perimeter_trace
+
+
 def _equivalence_cases():
     for d in (4, 5):
         for n in (1, 2, 3, 4):

@@ -28,7 +28,7 @@ from bootperc.extremal import (
     min_percolation_time,
     symmetry_index_maps,
 )
-from bootperc.lattice import LatticeSpec
+from bootperc.lattice import LatticeSpec, neighbor_table
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -657,3 +657,13 @@ def test_searches_are_deterministic():
     b = min_percolating_size(spec, 9)
     assert a == b
     assert min_percolation_time(spec, 3) == min_percolation_time(spec, 3)
+
+
+def test_search_on_int32_table_matches_int64(monkeypatch):
+    spec = LatticeSpec(3, 3)
+    assert neighbor_table(spec).dtype == np.int32
+    narrow = min_percolating_size(spec, 9)
+    monkeypatch.setattr(extremal, "neighbor_table", lambda s: neighbor_table(s).astype(np.int64))
+    wide = min_percolating_size(spec, 9)
+    assert wide.to_json_dict() == narrow.to_json_dict()
+    assert narrow.optimum == 9

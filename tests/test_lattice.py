@@ -1,12 +1,15 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+from bootperc.experiments import sweep_time
 from bootperc.extremal import symmetry_index_maps
 from bootperc.lattice import (
     LatticeSpec,
     cell_to_index,
+    index_dtype,
     index_to_cell,
     iter_level_cells,
     level_of,
@@ -172,6 +175,19 @@ def test_neighbor_table_rows_match_neighbors(spec):
                 expected.append(-1 if missing else cell_to_index(next(listed, None), spec))
         assert next(listed, None) is None
         assert row == expected
+
+
+def test_index_dtype_is_int32_up_to_2_31_cells():
+    # the largest int32 index is 2^31 - 1, the last cell of 2^31
+    assert index_dtype(2**31) == np.int32
+    assert index_dtype(2**31 + 1) == np.int64
+    for spec in _table_specs():
+        assert neighbor_table(spec).dtype == np.int32
+
+
+def test_sweep_holds_one_neighbour_table():
+    sweep_time(3, range(3, 9), "hyperplanes")
+    assert neighbor_table.cache_info().currsize == 1
 
 
 def _check_automorphisms(spec, maps):
