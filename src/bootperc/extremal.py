@@ -28,9 +28,9 @@ from __future__ import annotations
 from collections import Counter, deque
 from contextlib import closing
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations, product
-from math import comb, factorial
+from functools import lru_cache, partial
+from itertools import islice, permutations, product
+from math import comb
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -156,82 +156,82 @@ def _percolating(spec: LatticeSpec, chunk: np.ndarray) -> np.ndarray:
 
 # -- counting up to symmetry -------------------------------------------------
 
-# Cells x maps of the symmetry table that _orbit_counts reads in one pass.
-_MAP_SLAB = 2**16
 # Maps that _canonical_flags applies between two looks at the candidates
 # left; with 8, the 7 maps of a square grid never stop for one.
 _COMPACT_EVERY = 8
 
 
+def _symmetries(spec: LatticeSpec) -> Iterator[Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """The lattice symmetries that searches count up to, identity first, as
+    functions ``g(a, out)`` that write the image of ``a`` into ``out`` and
+    return it: arrays with a row per cell (bit planes, or the index range),
+    viewed as ``(n,) * d + (words,)``.  Grid: the 2^d * d! maps that
+    transpose the axes, then flip some of them.  Torus: the n^d
+    translations, each a roll copied block by block, with no temporary."""
+    d, n = spec.d, spec.n
+    shape = (n,) * d + (-1,)
+    if spec.topology == "grid":
+        for axes in permutations(range(d)):
+            for flips in product((slice(None), slice(None, None, -1)), repeat=d):
+                yield partial(_copy_blocks, shape, (*axes, d), [(..., flips)])
+    else:
+        # per shift s, the destination and the source slices of a roll by -s along one axis
+        to = [[slice(0, n - s), slice(n - s, n)][: 1 + (s > 0)] for s in range(n)]
+        source = [[slice(s, n), slice(0, s)][: 1 + (s > 0)] for s in range(n)]
+        for shifts in product(range(n), repeat=d):
+            blocks = zip(product(*[to[s] for s in shifts]), product(*[source[s] for s in shifts]))
+            yield partial(_copy_blocks, shape, tuple(range(d + 1)), list(blocks))
+
+
+def _copy_blocks(shape: tuple, order: tuple, blocks: list, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[to] = a[source]`` for each (to, source) block, both viewed as ``shape``, ``a`` transposed to ``order``."""
+    a, view = a.reshape(shape).transpose(order), out.reshape(shape)
+    for to, source in blocks:
+        view[to] = a[source]
+    return out
+
+
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def symmetry_index_maps(spec: LatticeSpec) -> np.ndarray:
-    """Index permutations of the lattice symmetries, the group that
-    searches count up to.
-
-    A read-only (maps, size) array, in the dtype of the search chunks, that
-    sends each linear index to that of its image.  Grid: the full
-    hyperoctahedral group (axis permutations x reflections, 2^d * d!
-    elements), each the index grid flipped and transposed.  Torus: the n^d
-    coordinate translations, each a roll of the grid.  Row 0 is the
-    identity.
-    """
-    d, n = spec.d, spec.n
-    grid = np.arange(spec.size, dtype=np.min_scalar_type(spec.size - 1)).reshape((n,) * d)
-    if spec.topology == "grid":
-        count = 2**d * factorial(d)
-        maps = (
-            np.flip(grid, [j for j in range(d) if flips[j]]).transpose(np.argsort(axes))
-            for axes in permutations(range(d))
-            for flips in product((False, True), repeat=d)
-        )
-    else:
-        count = n**d
-        maps = (np.roll(grid, [-s for s in shifts], range(d)) for shifts in product(range(n), repeat=d))
-    # filled map by map, so that the maps are never held twice
-    table = np.empty((count, spec.size), dtype=grid.dtype)
-    for row, image in zip(table, maps):
-        row.reshape(grid.shape)[...] = image
+    """The maps of :func:`_symmetries` applied to the index range, stacked:
+    a read-only (maps, size) table that sends each index to that of its
+    image, row 0 the identity.  The reference that tests check the
+    symmetries against; no search reads it (n^(2d) entries on a torus)."""
+    cells = np.arange(spec.size, dtype=np.min_scalar_type(spec.size - 1))
+    table = np.stack([g(cells, np.empty_like(cells)) for g in _symmetries(spec)])
     table.flags.writeable = False
     return table
 
 
 def _orbit_counts(spec: LatticeSpec, top: int) -> list[int]:
-    """Orbits of the k-subsets of the lattice under
-    :func:`symmetry_index_maps`, for k = 0..top.
+    """Orbits of the k-subsets of the lattice under :func:`_symmetries`,
+    for k = 0..top.
 
     Burnside's lemma: the mean over the maps g of the k-sets that g fixes,
     which is the x^k coefficient of the product over the cycles c of g of
     (1 + x^|c|).  A fixed k-set is a union of cycles, so only cycles of
-    length at most top count: cell i lies on a cycle of length t when t is
-    the least power with g^t(i) = i.  Maps are read a slab at a time in the
-    table's dtype, and the sums are exact integers.
+    length at most top count, found from the cells that g, g^2, ..., g^top
+    fix.  Each map is read from its image of the index range, one map at a
+    time, and the sums are exact integers.
     """
-    table = symmetry_index_maps(spec)
-    maps, size = table.shape
-    cells = np.arange(size, dtype=table.dtype)
+    cells, image = np.arange(spec.size), np.empty(spec.size, dtype=np.intp)
     types: Counter = Counter()  # cycles of each length 1..top -> maps with them
-    step = max(1, _MAP_SLAB // size)
-    for first in range(0, maps, step):
-        slab = table[first : first + step]
-        rows = np.arange(len(slab))[:, None]
-        power, placed = slab, np.zeros(slab.shape, dtype=bool)
-        cycles = np.zeros((len(slab), top), dtype=np.int64)
+    for maps, g in enumerate(_symmetries(spec), 1):
+        power = perm = g(cells, image)
+        cycles: list[int] = []
         for t in range(1, top + 1):
-            fixed = power == cells
-            cycles[:, t - 1] = np.count_nonzero(fixed & ~placed, axis=1) // t
-            placed |= fixed
+            # g^t fixes the cells on cycles of every length that divides t
+            fixed = int(np.count_nonzero(power == cells))
+            cycles.append((fixed - sum(length * c for length, c in enumerate(cycles, 1) if t % length == 0)) // t)
             if t < top:
-                power = slab[rows, power]  # g^(t + 1)
-        types.update(map(tuple, cycles.tolist()))
+                power = perm[power]  # g^(t + 1)
+        types[tuple(cycles)] += 1
     totals = [0] * (top + 1)
     for cycle_type, count in types.items():
         fixed_sets = [1] + [0] * top  # k-sets fixed by one map of this type
         for length, number in enumerate(cycle_type, 1):
-            if number:
-                fixed_sets = [
-                    sum(comb(number, j) * fixed_sets[k - j * length] for j in range(k // length + 1))
-                    for k in range(top + 1)
-                ]
+            fixed_sets = [sum(comb(number, j) * fixed_sets[k - j * length] for j in range(k // length + 1))
+                          for k in range(top + 1)]
         totals = [total + count * f for total, f in zip(totals, fixed_sets)]
     if any(total % maps for total in totals):
         raise RuntimeError(f"internal check failed: Burnside sums {totals} not divisible by {maps}")
@@ -241,46 +241,45 @@ def _orbit_counts(spec: LatticeSpec, top: int) -> list[int]:
 def _canonical_flags(spec: LatticeSpec, *bounds: int) -> np.ndarray:
     """One ``uint8`` per candidate of the work unit with these bounds, in
     colex order: 1 when the candidate is canonical, the colex-least set of
-    its orbit under :func:`symmetry_index_maps`.
+    its orbit under :func:`_symmetries`.
 
     Colex order on k-sets is the order of their bitmasks, so an image is
     smaller when the highest row set in exactly one of the two is set in
-    the candidate.  The image planes under a map g are ``own[g^-1]``; the
-    maps form a group, so ``own[g]`` over all g gives the same images.
-    Before every ``_COMPACT_EVERY`` maps, the candidates not yet beaten are
-    packed into fewer words when they fill at most half the bits, so the
-    work shrinks as they are beaten: on [3]^4 with r = 2 (384 maps) this
-    took a search from 18 to 3 s.
+    the candidate.  A map applied to the planes gives the image planes
+    under its inverse; the maps form a group, so together they give every
+    image.  Before every ``_COMPACT_EVERY`` maps, the candidates not yet
+    beaten are packed into fewer words when they fill at most half the
+    bits, so the work shrinks as they are beaten: on [3]^4 with r = 2 (384
+    maps) this took a search from 18 to 3 s.
     """
     unit = _Unit(spec.size, *bounds)
-    maps = symmetry_index_maps(spec)
     own, alive = unit.planes(_kept(spec.size + 1, len(unit.valid)))[: spec.size], unit.valid.copy()
     where = np.arange(64 * len(alive))  # position in the unit of each bit held
-    for first in range(1, len(maps), _COMPACT_EVERY):  # all but the identity
-        bits = _bits(alive)
-        count = int(np.count_nonzero(bits))
-        if not count:
-            break
-        if 2 * count <= len(bits):
-            words = -(-count // 64)
-            cells = np.zeros((spec.size, 64 * words), dtype=np.uint8)
-            cells[:, :count] = np.unpackbits(own.view(np.uint8), axis=1, bitorder="little")[:, bits]
-            own = np.packbits(cells, axis=1, bitorder="little").view(np.uint64)
-            where = where[bits[: len(where)]]  # bits past where's end were never set
-            alive = np.packbits(np.arange(64 * words) < count, bitorder="little").view(np.uint64)
-        top_first = own[::-1]
-        # working arrays made once: past 128 KB fresh ones page-fault every map
-        work, seen = np.empty_like(own), np.zeros((spec.size + 1, own.shape[1]), dtype=np.uint64)
-        for table in maps[first : first + _COMPACT_EVERY]:
-            np.take(own, table, axis=0, out=work)
-            work ^= own
-            # seen[i + 1]: bits differing in a row from the top one down to
-            # row size - 1 - i; seen[0] stays clear
-            np.bitwise_or.accumulate(work[::-1], axis=0, out=seen[1:])
-            # each bit's highest differing row, top row first
-            np.bitwise_xor(seen[1:], seen[:-1], out=work)
-            work &= top_first
-            alive &= ~np.bitwise_or.reduce(work, axis=0)
+    for done, g in enumerate(islice(_symmetries(spec), 1, None)):  # all but the identity
+        if done % _COMPACT_EVERY == 0:
+            bits = _bits(alive)
+            count = int(np.count_nonzero(bits))
+            if not count:
+                break
+            if 2 * count <= len(bits):
+                words = -(-count // 64)
+                unpacked = np.zeros((spec.size, 64 * words), dtype=np.uint8)
+                unpacked[:, :count] = np.unpackbits(own.view(np.uint8), axis=1, bitorder="little")[:, bits]
+                own = np.packbits(unpacked, axis=1, bitorder="little").view(np.uint64)
+                where = where[bits[: len(where)]]  # bits past where's end were never set
+                alive = np.packbits(np.arange(64 * words) < count, bitorder="little").view(np.uint64)
+            top_first = own[::-1]
+            # working arrays made once: past 128 KB fresh ones page-fault every map
+            work, seen = np.empty_like(own), np.zeros((spec.size + 1, own.shape[1]), dtype=np.uint64)
+        g(own, work)
+        work ^= own
+        # seen[i + 1]: bits differing in a row from the top one down to
+        # row size - 1 - i; seen[0] stays clear
+        np.bitwise_or.accumulate(work[::-1], axis=0, out=seen[1:])
+        # each bit's highest differing row, top row first
+        np.bitwise_xor(seen[1:], seen[:-1], out=work)
+        work &= top_first
+        alive &= ~np.bitwise_or.reduce(work, axis=0)
     flags = np.zeros(64 * len(unit.valid), dtype=np.uint8)
     flags[where[_bits(alive)[: len(where)]]] = 1
     return flags[_bits(unit.valid)]

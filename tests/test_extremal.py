@@ -1,5 +1,8 @@
+import itertools
+import math
 import multiprocessing
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -465,6 +468,87 @@ def test_canonical_flags_match_brute_force(monkeypatch, spec):
     for k in range(spec.size + 1):
         flags = [extremal._canonical_flags(spec, *unit) for unit in _units(spec.size, k)]
         assert np.concatenate(flags).tolist() == canonical[sizes == k].tolist()
+
+
+def _torus_orbit_counts(d, n, top):
+    """Orbits of the k-sets of the [n]^d torus under translation, k = 0..top,
+    by Burnside's lemma without any map: every cycle of the translation by s
+    has length L(s) = lcm_i n / gcd(s_i, n), so s fixes C(n^d / L, k / L)
+    k-sets when L divides k and none otherwise."""
+    totals = [0] * (top + 1)
+    for shifts in itertools.product(range(n), repeat=d):
+        length = math.lcm(*(n // math.gcd(s, n) for s in shifts))
+        for k in range(0, top + 1, length):
+            totals[k] += comb(n**d // length, k // length)
+    assert all(total % n**d == 0 for total in totals)
+    return [total // n**d for total in totals]
+
+
+@pytest.mark.parametrize("d,n,top", [(2, 5, 8), (2, 6, 8), (2, 8, 8), (3, 4, 8), (3, 6, 6), (1, 12, 12)])
+def test_torus_orbit_counts_match_closed_form(d, n, top):
+    assert extremal._orbit_counts(LatticeSpec(d, n, "torus"), top) == _torus_orbit_counts(d, n, top)
+
+
+def test_torus_orbit_closed_form_pinned():
+    assert _torus_orbit_counts(2, 5, 4) == [1, 1, 12, 92, 506]
+
+
+def _canonical_reference(spec, k):
+    """Per k-set in colex order: True when no row of the index table sends
+    it to a set of smaller colex rank (sum_i comb(c_i, i + 1) over its
+    cells in ascending order)."""
+    sets = np.array(list(colex_combinations(spec.size, k)), dtype=np.int64)
+    binomials = np.array([[comb(c, i + 1) for i in range(k)] for c in range(spec.size)], dtype=np.int64)
+
+    def ranks(cells):
+        return binomials[np.sort(cells, axis=1), np.arange(k)].sum(axis=1)
+
+    own = ranks(sets)
+    assert own.tolist() == list(range(len(sets)))
+    least = own.copy()
+    for g in symmetry_index_maps(spec):
+        np.minimum(least, ranks(g.astype(np.int64)[sets]), out=least)
+    return least == own
+
+
+@pytest.mark.parametrize("spec,k", [(LatticeSpec(3, 3), 3), (LatticeSpec(2, 5, "torus"), 3),
+                                    (LatticeSpec(4, 3, r=2), 2)])
+def test_canonical_flags_match_index_table(monkeypatch, spec, k):
+    # lattices too large for the bitmask brute force; [3]^4 has 384 maps, so
+    # the survivors of each one-word unit are packed between maps
+    monkeypatch.setattr(colex, "_CHUNK_WORDS", 1)
+    flags = [extremal._canonical_flags(spec, *unit) for unit in _units(spec.size, k)]
+    assert np.concatenate(flags).astype(bool).tolist() == _canonical_reference(spec, k).tolist()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [LatticeSpec(1, 5), LatticeSpec(2, 3), LatticeSpec(3, 2), LatticeSpec(4, 2), LatticeSpec(1, 4, "torus"),
+     LatticeSpec(2, 5, "torus"), LatticeSpec(3, 3, "torus")],
+)
+def test_symmetries_move_planes_as_the_table_moves_cells(spec):
+    # planes of several words move row by row as the table moves the index range
+    planes = np.random.default_rng(spec.size).integers(0, 2**63, size=(spec.size, 3), dtype=np.uint64)
+    image = np.empty_like(planes)
+    maps = list(extremal._symmetries(spec))
+    assert len(maps) == len(symmetry_index_maps(spec))
+    for g, row in zip(maps, symmetry_index_maps(spec)):
+        assert g(planes, image) is image
+        assert np.array_equal(image, planes[row])
+
+
+@pytest.mark.parametrize("spec", [LatticeSpec(2, 60, "torus"), LatticeSpec(3, 16, "torus")])
+def test_symmetric_torus_search_holds_no_map_table(spec):
+    # an index table of all n^d translations would hold n^(2d) uint16
+    # entries: 26 MB on the 60^2 torus and 34 MB on the 16^3 torus
+    tracemalloc.start()
+    try:
+        res = min_percolating_size(spec, 1, symmetry=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.optimum is None and res.instances_examined == 1  # one orbit of cells
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize(
