@@ -4,122 +4,44 @@ Deterministic simulation engine, the standard extremal constructions,
 infection-certificate machinery, exhaustive extremal searches, and scripted
 verification campaigns, all exposed both as a library and through the
 ``bootperc`` command-line tool.
+
+Public names resolve on first use (PEP 562), so ``import bootperc`` alone
+loads neither numpy nor any submodule.
 """
 
-from .colex import colex_combinations
-from .constructions import (
-    CONSTRUCTIONS,
-    boundary,
-    build_construction,
-    diagonal,
-    hyperplane_union,
-    level_set,
-    named_set,
-    shifted_union,
-    torus3_seed,
-)
-from .dynamics import (
-    AuditEvent,
-    CellSet,
-    RunRecord,
-    closure,
-    perimeter,
-    run,
-    run_naive,
-    write_record_json,
-)
-from .experiments import (
-    SeparationReport,
-    SweepRow,
-    SweepTable,
-    sweep_time,
-    verify_separation,
-    verify_strip_fill,
-)
-from .extremal import (
-    BudgetExceededError,
-    NoPercolatingSetError,
-    SearchResult,
-    is_minimal,
-    min_percolating_size,
-    min_percolation_time,
-)
-from .lattice import (
-    Cell,
-    LatticeSpec,
-    Topology,
-    cell_to_index,
-    index_to_cell,
-    iter_level_cells,
-    level_of,
-    neighbors,
-)
-from .witness import (
-    StripContext,
-    WitnessCycleError,
-    WitnessDag,
-    WitnessNode,
-    build_witness,
-    coordinate_sum_above,
-    infectors,
-    iter_strip_cells,
-    level_offset,
-    max_depth_bound,
-    squared_coordinate_sum,
-    write_witness_json,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditEvent",
-    "BudgetExceededError",
-    "Cell",
-    "CellSet",
-    "CONSTRUCTIONS",
-    "LatticeSpec",
-    "NoPercolatingSetError",
-    "RunRecord",
-    "SearchResult",
-    "SeparationReport",
-    "StripContext",
-    "SweepRow",
-    "SweepTable",
-    "Topology",
-    "WitnessCycleError",
-    "WitnessDag",
-    "WitnessNode",
-    "boundary",
-    "build_construction",
-    "build_witness",
-    "cell_to_index",
-    "closure",
-    "colex_combinations",
-    "coordinate_sum_above",
-    "diagonal",
-    "hyperplane_union",
-    "index_to_cell",
-    "infectors",
-    "is_minimal",
-    "iter_level_cells",
-    "iter_strip_cells",
-    "level_of",
-    "level_offset",
-    "level_set",
-    "max_depth_bound",
-    "min_percolating_size",
-    "min_percolation_time",
-    "named_set",
-    "neighbors",
-    "perimeter",
-    "run",
-    "run_naive",
-    "shifted_union",
-    "squared_coordinate_sum",
-    "sweep_time",
-    "torus3_seed",
-    "verify_separation",
-    "verify_strip_fill",
-    "write_record_json",
-    "write_witness_json",
-]
+# each submodule and the public names it exports
+_EXPORTS = {
+    "colex": ("colex_combinations",),
+    "constructions": ("CONSTRUCTIONS", "boundary", "build_construction", "diagonal", "hyperplane_union",
+                      "level_set", "named_set", "shifted_union", "torus3_seed"),
+    "dynamics": ("AuditEvent", "CellSet", "RunRecord", "closure", "perimeter", "run", "run_naive",
+                 "write_record_json"),
+    "experiments": ("SeparationReport", "SweepRow", "SweepTable", "sweep_time", "verify_separation",
+                    "verify_strip_fill"),
+    "extremal": ("BudgetExceededError", "NoPercolatingSetError", "SearchResult", "is_minimal",
+                 "min_percolating_size", "min_percolation_time"),
+    "lattice": ("Cell", "LatticeSpec", "Topology", "cell_to_index", "index_to_cell", "iter_level_cells",
+                "level_of", "neighbors"),
+    "witness": ("StripContext", "WitnessCycleError", "WitnessDag", "WitnessNode", "build_witness",
+                "coordinate_sum_above", "infectors", "iter_strip_cells", "level_offset", "max_depth_bound",
+                "squared_coordinate_sum", "write_witness_json"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # importing a submodule binds it in this namespace
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -52,7 +52,7 @@ def _parse_every(text: str) -> int:
     return every
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
     parts = text.split(":")
     if len(parts) not in (2, 3) or not all(p.lstrip("-").isdigit() for p in parts):
         raise argparse.ArgumentTypeError(f"expected LO:HI or LO:HI:STEP, got {text!r}")
@@ -60,7 +60,7 @@ def _parse_range(text: str) -> list[int]:
     step = int(parts[2]) if len(parts) == 3 else 1
     if step < 1 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad range {text!r}")
-    return list(range(lo, hi + 1, step))
+    return range(lo, hi + 1, step)
 
 
 def _parse_cell(text: str) -> tuple[int, ...]:

@@ -12,12 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import CellSet
-from .lattice import Cell, levels
-
-# The three extra torus seeds live one per wraparound slab; once the
-# embedded (n-1)-cube is full, each slab cell has two infected neighbours
-# through the wraparound, so a single seed per slab suffices.
-TORUS3_EXTRA_SEEDS: tuple[Cell, ...] = ((1, 1, -1), (1, -1, 1), (-1, 1, 1))  # -1 stands for n
+from .lattice import levels
 
 NAMED_SETS = ("diagonal2d", "boundary", "torus3")
 CONSTRUCTIONS = ("hyperplanes", "shifted") + NAMED_SETS
@@ -69,9 +64,12 @@ def torus3_seed(n: int) -> CellSet:
     """
     if n < 3:
         raise ValueError(f"torus seed requires n >= 3, got {n}")
-    cells = list(hyperplane_union(3, n - 1))
-    cells.extend(tuple(n if v == -1 else v for v in seed) for seed in TORUS3_EXTRA_SEEDS)
-    return CellSet.from_cells(3, n, cells)
+    seed = np.zeros((n,) * 3, dtype=bool)
+    seed[:-1, :-1, :-1] = (levels(3, n - 1) % (n - 1) == 0).reshape((n - 1,) * 3)
+    # one extra seed per wraparound slab: once the embedded cube is full,
+    # each slab cell has two infected neighbours through the wraparound
+    seed[0, 0, -1] = seed[0, -1, 0] = seed[-1, 0, 0] = True
+    return CellSet._from_mask(3, n, seed.ravel())
 
 
 def named_set(name: str, n: int, d: int | None = None) -> CellSet:

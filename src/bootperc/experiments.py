@@ -4,6 +4,7 @@ and percolation-time sweeps with quadratic least-squares fits.
 
 from __future__ import annotations
 
+import bisect
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -197,13 +198,15 @@ def sweep_time(
     """Run the given construction once per n and tabulate percolation times."""
     if construction not in SWEEP_CONSTRUCTIONS:
         raise ValueError(f"unknown sweep construction {construction!r} (choose from {SWEEP_CONSTRUCTIONS})")
-    ns = sorted(set(n_values))
+    # an ascending range is already sorted and distinct, so it is never built
+    ns = n_values if isinstance(n_values, range) and n_values.step > 0 else sorted(set(n_values))
     if not ns:
         raise ValueError("empty n range")
-    for n in ns:
-        if n**d > cell_budget:
-            raise BudgetExceededError(
-                f"n={n} needs {n**d} cells, over the cell budget of {cell_budget}"
-            )
+    # n**d exceeds the budget only at the two ends of the sorted values, so
+    # the smallest such n is the first value or the start of the top run
+    over = 0 if ns[0] ** d > cell_budget else bisect.bisect(ns, False, key=lambda n: n**d > cell_budget)
+    if over < len(ns):
+        n = ns[over]
+        raise BudgetExceededError(f"n={n} needs {n**d} cells, over the cell budget of {cell_budget}")
     rows = list(ordered_results(_sweep_row, ((d, n, construction) for n in ns), parallelism))
     return SweepTable(d=d, construction=construction, rows=rows, fit=_quadratic_fit(rows))

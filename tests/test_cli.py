@@ -1,7 +1,9 @@
+import importlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -111,14 +113,54 @@ def test_simulate_bad_initial_file_message(tmp_path, capsys, content, stderr):
 
 def test_cli_import_loads_no_pool_modules():
     # the process pool's modules load only when a search or sweep starts a
-    # pool, whichever entry point is imported (each in a fresh process)
+    # pool, whichever entry point is imported (each in a fresh process); the
+    # package alone loads neither numpy nor any of its own submodules
     src = str(Path(bootperc.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for module in ("bootperc", "bootperc.cli", "bootperc.experiments"):
-        code = f"import sys, {module}; print(sorted({{'concurrent.futures.process', 'multiprocessing'}} & set(sys.modules)))"
+        code = (
+            f"import sys, {module}; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules))); "
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('bootperc.')))"
+        )
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "[]\n", module
+        pool, loaded = result.stdout.splitlines()
+        assert pool == "[]", module
+        if module == "bootperc":
+            assert loaded == "[]"
+
+
+# the 50 public names of the package, as listed before they resolved lazily
+PUBLIC_NAMES = {
+    "AuditEvent", "BudgetExceededError", "CONSTRUCTIONS", "Cell", "CellSet", "LatticeSpec",
+    "NoPercolatingSetError", "RunRecord", "SearchResult", "SeparationReport", "StripContext",
+    "SweepRow", "SweepTable", "Topology", "WitnessCycleError", "WitnessDag", "WitnessNode",
+    "boundary", "build_construction", "build_witness", "cell_to_index", "closure",
+    "colex_combinations", "coordinate_sum_above", "diagonal", "hyperplane_union", "index_to_cell",
+    "infectors", "is_minimal", "iter_level_cells", "iter_strip_cells", "level_of", "level_offset",
+    "level_set", "max_depth_bound", "min_percolating_size", "min_percolation_time", "named_set",
+    "neighbors", "perimeter", "run", "run_naive", "shifted_union", "squared_coordinate_sum",
+    "sweep_time", "torus3_seed", "verify_separation", "verify_strip_fill", "write_record_json",
+    "write_witness_json",
+}
+
+
+def test_package_namespace_resolves_every_public_name():
+    assert len(bootperc.__all__) == len(PUBLIC_NAMES) == 50
+    assert set(bootperc.__all__) == PUBLIC_NAMES
+    for name in bootperc.__all__:
+        home = importlib.import_module(f"bootperc.{bootperc._HOME[name]}")
+        assert getattr(bootperc, name) is getattr(home, name), name
+    for module in ("colex", "constructions", "dynamics", "experiments", "extremal", "lattice", "witness"):
+        assert getattr(bootperc, module) is importlib.import_module(f"bootperc.{module}")
+    namespace = {}
+    exec("from bootperc import *", namespace)
+    assert PUBLIC_NAMES <= set(namespace)
+    assert all(namespace[name] is getattr(bootperc, name) for name in PUBLIC_NAMES)
+    assert PUBLIC_NAMES <= set(dir(bootperc))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        bootperc.no_such_name
 
 
 def test_out_of_memory_is_a_resource_error(monkeypatch, capsys):
@@ -302,6 +344,21 @@ def test_sweep_json_with_step(capsys):
 def test_sweep_bad_range(capsys):
     code, _, _ = invoke(capsys, "sweep", "--d", "2", "--construction", "hyperplanes", "--n-range", "9:3")
     assert code == 2
+
+
+def test_sweep_refuses_a_huge_range_before_building_it(capsys):
+    # 10^13 values would take 80 TB as a list; the budget refuses n=204 first
+    tracemalloc.start()
+    try:
+        code, out, err = invoke(
+            capsys, "sweep", "--d", "3", "--construction", "hyperplanes", "--n-range", "1:10000000000000"
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err == "error: n=204 needs 8489664 cells, over the cell budget of 8388608\n"
+    assert peak < 4 * 2**20
 
 
 def test_verify_strip_fill(capsys):

@@ -170,3 +170,11 @@ def test_torus3_seed_matches_brute_force_filter(n):
     assert torus3_seed(n) == _filtered(
         3, n, lambda c: c in extra or (max(c) < n and sum(c) in embedded)
     )
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_torus3_seed_matches_cell_list_construction(n):
+    # the seed as once built: the hyperplane union of the embedded (n-1)-cube
+    # as a list of cells, plus one cell per wraparound slab
+    cells = list(hyperplane_union(3, n - 1)) + [(1, 1, n), (1, n, 1), (n, 1, 1)]
+    assert torus3_seed(n) == CellSet.from_cells(3, n, cells)

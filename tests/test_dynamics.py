@@ -213,6 +213,25 @@ def test_exact_conservation_from_hyperplane_union():
                 assert not batch.intersection(neighbors(cell, spec))
 
 
+# percolation time of the hyperplane union, conjectured closed forms fitted
+# by exact interpolation and checked by computation (not proved)
+HYPERPLANE_TIMES = {
+    2: (range(2, 61), lambda n: 2 * n - 3),
+    3: (range(4, 41), lambda n: n * n // 2 - n + 2),
+    4: (range(4, 17), lambda n: -(-2 * n * (n - 1) // 3)),
+    5: (range(4, 13), lambda n: n * n - 3 * n + 6 + (n % 2 == 0)),
+}
+
+
+@pytest.mark.parametrize("d", sorted(HYPERPLANE_TIMES))
+def test_hyperplane_union_times_match_closed_forms(d):
+    # up to [12]^5 (248,832 cells), far past what run_naive can check
+    ns, form = HYPERPLANE_TIMES[d]
+    got = {n: run(LatticeSpec(d, n), hyperplane_union(d, n)) for n in ns}
+    assert all(record.percolates for record in got.values())
+    assert {n: record.T for n, record in got.items()} == {n: form(n) for n in ns}
+
+
 def test_monotonicity_spot_checks():
     spec = LatticeSpec(2, 4)
     rng = random.Random(3)

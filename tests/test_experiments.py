@@ -146,6 +146,25 @@ def test_sweep_cell_budget():
         sweep_time(3, [50], "hyperplanes", cell_budget=10**4)
 
 
+@pytest.mark.parametrize(
+    "d, n_values, smallest",
+    [
+        (3, [60, 3, 50, 22], 22),
+        (3, range(1, 10**5), 22),
+        (3, range(3, 100, 4), 23),
+        (3, range(99, 0, -4), 23),
+        (2, [-200, 3, 4], -200),
+        (2, [-5, 3, 101], 101),
+        (1, range(1, 10**5), 10**4 + 1),
+    ],
+)
+def test_sweep_cell_budget_names_the_smallest_n_over_it(d, n_values, smallest):
+    # ranges are checked without building them, lists after sorting
+    with pytest.raises(BudgetExceededError) as exc:
+        sweep_time(d, n_values, "hyperplanes", cell_budget=10**4)
+    assert str(exc.value) == f"n={smallest} needs {smallest**d} cells, over the cell budget of 10000"
+
+
 def test_sweep_parallel_matches_serial():
     serial = sweep_time(2, range(3, 7), "hyperplanes")
     parallel = sweep_time(2, range(3, 7), "hyperplanes", parallelism=2)
