@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import bisect
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -66,12 +66,8 @@ class SeparationReport:
         return self.holds
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
             "seed_levels": list(self.seed_levels),
-            "percolates": self.percolates,
-            "holds": self.holds,
             "levels": [lv._asdict() for lv in self.levels],
         }
 
@@ -114,13 +110,8 @@ class SweepRow:
     within_bound: bool  # T <= (d+2)*n**2 + n
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "T": self.T,
-            "percolates": self.percolates,
-            "cells": self.cells,
-            "within_bound": self.within_bound,
-        }
+        # runtime_s differs from run to run, so it stays out of the document
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "runtime_s"}
 
 
 @dataclass
@@ -138,11 +129,8 @@ class SweepTable:
     fit: dict | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "construction": self.construction,
-            "rows": [row.to_json_dict() for row in self.rows],
-            "fit": self.fit,
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
+            "rows": [row.to_json_dict() for row in self.rows]
         }
 
     def to_csv(self) -> str:
@@ -202,11 +190,19 @@ def sweep_time(
     ns = n_values if isinstance(n_values, range) and n_values.step > 0 else sorted(set(n_values))
     if not ns:
         raise ValueError("empty n range")
-    # n**d exceeds the budget only at the two ends of the sorted values, so
-    # the smallest such n is the first value or the start of the top run
-    over = 0 if ns[0] ** d > cell_budget else bisect.bisect(ns, False, key=lambda n: n**d > cell_budget)
-    if over < len(ns):
-        n = ns[over]
+    # n**d exceeds the budget only at the two ends of the sorted values: the
+    # smallest such n is the first value or the first from `top`, the least
+    # n >= 0 over it, found in a range by arithmetic (its len() may overflow)
+    top = bisect.bisect(range(cell_budget + 1), cell_budget, key=lambda n: n**d)
+    if ns[0] ** d > cell_budget:
+        first = 0
+    elif isinstance(ns, range):
+        first = max(0, -((ns.start - top) // ns.step))
+    else:
+        first = bisect.bisect_left(ns, top)
+    over = ns[first:first + 1]
+    if over:
+        n = over[0]
         raise BudgetExceededError(f"n={n} needs {n**d} cells, over the cell budget of {cell_budget}")
     rows = list(ordered_results(_sweep_row, ((d, n, construction) for n in ns), parallelism))
     return SweepTable(d=d, construction=construction, rows=rows, fit=_quadratic_fit(rows))

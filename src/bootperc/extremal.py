@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from itertools import islice, permutations, product
 from math import comb
@@ -74,14 +74,8 @@ class SearchResult:
     symmetry_pruned: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "optimum": self.optimum,
-            "witness": None if self.witness is None else self.witness.to_coord_lists(),
-            "instances_examined": self.instances_examined,
-            "exhaustive": self.exhaustive,
-            "symmetry_pruned": self.symmetry_pruned,
-        }
+        witness = None if self.witness is None else self.witness.to_coord_lists()
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"witness": witness}
 
 
 # -- the batch kernel -----------------------------------------------------------

@@ -341,6 +341,28 @@ def test_sweep_json_with_step(capsys):
     assert all("runtime_s" not in row for row in doc["rows"])
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("simulate --d 2 --n x --construction hyperplanes", "argument --n: not an integer: 'x'"),
+        ("simulate --d 2 --n 3 --construction hyperplanes --snapshot 3",
+         "argument --snapshot: expected the form every=K"),
+        ("simulate --d 2 --n 3 --construction hyperplanes --snapshot every=x",
+         "argument --snapshot: expected the form every=K with integer K"),
+        ("simulate --d 2 --n 3 --construction hyperplanes --snapshot every=0",
+         "argument --snapshot: snapshot interval must be >= 1"),
+        ("sweep --d 2 --construction hyperplanes --n-range 1-5",
+         "argument --n-range: expected LO:HI or LO:HI:STEP, got '1-5'"),
+        ("witness --d 3 --n 5 --s 2 --cell a,b", "argument --cell: not a coordinate tuple: 'a,b'"),
+    ],
+    ids=["n", "snapshot-form", "snapshot-integer", "snapshot-zero", "n-range", "cell"],
+)
+def test_argument_type_errors(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"bootperc {argv.split()[0]}: error: {message}"
+
+
 def test_sweep_bad_range(capsys):
     code, _, _ = invoke(capsys, "sweep", "--d", "2", "--construction", "hyperplanes", "--n-range", "9:3")
     assert code == 2
@@ -359,6 +381,27 @@ def test_sweep_refuses_a_huge_range_before_building_it(capsys):
     assert (code, out) == (3, "")
     assert err == "error: n=204 needs 8489664 cells, over the cell budget of 8388608\n"
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "d, n_range, code, err",
+    [
+        ("3", "1:100000000000000000000", 3,
+         "error: n=204 needs 8489664 cells, over the cell budget of 8388608\n"),
+        ("2", "1:100000000000000000000", 3,
+         "error: n=2897 needs 8392609 cells, over the cell budget of 8388608\n"),
+        ("2", "-100000000000000000000:5", 3,
+         f"error: n=-100000000000000000000 needs {10**40} cells, over the cell budget of 8388608\n"),
+        # n**3 < 0 is never over the budget, so the first row's shape is refused
+        ("3", "-100000000000000000000:5", 2, "error: invalid shape d=3, n=-100000000000000000000\n"),
+    ],
+    ids=["d3", "d2", "d2-negative", "d3-negative"],
+)
+def test_sweep_range_longer_than_sys_maxsize(capsys, d, n_range, code, err):
+    # len() of these ranges overflows a C ssize_t, so the budget check uses none
+    assert invoke(capsys, "sweep", "--d", d, "--construction", "hyperplanes", f"--n-range={n_range}") == (
+        code, "", err
+    )
 
 
 def test_verify_strip_fill(capsys):

@@ -128,6 +128,8 @@ def test_named_set_dispatch_and_errors():
         named_set("boundary", 4)  # d is required
     with pytest.raises(ValueError):
         named_set("torus3", 2)
+    with pytest.raises(ValueError, match="^torus3 requires d = 3$"):
+        named_set("torus3", 4, d=2)
     with pytest.raises(ValueError):
         named_set("klein", 4, d=2)
 
@@ -140,6 +142,13 @@ def test_build_construction_covers_all_names():
     assert build_construction("torus3", 3, 4) == torus3_seed(4)
     with pytest.raises(ValueError):
         build_construction("spiral", 2, 4)
+
+
+def test_constructions_reject_invalid_shapes():
+    with pytest.raises(ValueError, match="^invalid side 0$"):
+        diagonal(0)
+    with pytest.raises(ValueError, match="^invalid shape d=0, n=3$"):
+        boundary(0, 3)
 
 
 def test_constructions_are_deterministic():

@@ -52,6 +52,20 @@ def test_from_indices_rejects_bad_indices(bad):
         CellSet.from_indices(2, 3, [0, bad, 4])
 
 
+def test_cellset_guards():
+    with pytest.raises(ValueError, match="^invalid shape d=0, n=3$"):
+        CellSet(0, 3)
+    with pytest.raises(ValueError, match="^bitset has indices outside the cell universe$"):
+        CellSet(1, 3, 8)
+    assert CellSet.empty(2, 3).to_text() == ""
+
+
+def test_run_record_equality_with_another_type():
+    record = run(LatticeSpec(2, 3), CellSet.full(2, 3))
+    assert record.__eq__(record.to_json_dict()) is NotImplemented
+    assert record != record.to_json_dict()
+
+
 def test_cellset_shape_mismatch():
     with pytest.raises(ValueError):
         cellset(2, 3, (1, 1)) | cellset(2, 4, (1, 1))

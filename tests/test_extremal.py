@@ -2,6 +2,7 @@ import itertools
 import math
 import multiprocessing
 import random
+import re
 import tracemalloc
 from math import comb
 
@@ -675,6 +676,28 @@ def test_min_time_budget_refusal():
 def test_min_time_size_validation():
     with pytest.raises(ValueError):
         min_percolation_time(LatticeSpec(2, 2), 5)
+
+
+def test_search_argument_validation():
+    spec = LatticeSpec(2, 3)
+    with pytest.raises(ValueError, match="^budget must be positive, got 0$"):
+        min_percolating_size(spec, 3, budget=0)
+    with pytest.raises(ValueError, match="^budget must be positive, got 0$"):
+        min_percolation_time(spec, 3, budget=0)
+    with pytest.raises(ValueError, match="^max_size must be >= 0, got -1$"):
+        min_percolating_size(spec, -1)
+
+
+def test_witness_revalidation_catches_an_engine_that_disagrees(monkeypatch):
+    spec = LatticeSpec(2, 3)
+    engine = extremal.run
+    monkeypatch.setattr(extremal, "run", lambda spec, cells: engine(spec, CellSet.empty(spec.d, spec.n)))
+    message = "internal check failed: witness [(1, 1), (1, 3), (3, 1)] does not percolate"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        min_percolating_size(spec, 3)
+    monkeypatch.setattr(extremal, "run", lambda spec, cells: engine(spec, CellSet.full(spec.d, spec.n)))
+    with pytest.raises(RuntimeError, match="^internal check failed: witness time 0 != search result 2$"):
+        min_percolation_time(spec, 3)
 
 
 def test_min_time_parallel_matches_serial():

@@ -11,9 +11,12 @@ the command and hash its stdout, e.g.
 
 import hashlib
 
+import json
+
 import pytest
 
 from bootperc.cli import main
+from bootperc.experiments import verify_separation
 
 GOLDEN = {
     "construct-hyperplanes": (
@@ -44,6 +47,11 @@ GOLDEN = {
         "sweep --d 3 --construction boundary --n-range 1:7",
         0, "086bca96837b8541fc36e5d94bd1cdaee622d74b18074aaee9735390a5fd33da",
     ),
+    # three rows, so "fit" is null and no polyfit float text is pinned
+    "sweep-hyperplanes-json": (
+        "sweep --d 3 --construction hyperplanes --n-range 3:5 --format json",
+        0, "9693853815a8a692b65fc2a49f50d038b39f8eeab8a9830af1ca1b51247aef5d",
+    ),
     "verify-strip-fill": (
         "verify --check strip-fill --d 3 --n 6 --s 2",
         0, "c92114d5ced0c4aa4c376780369e4108a4265b93f4d8287cd9f142a747b81103",
@@ -63,6 +71,18 @@ GOLDEN = {
     "search-none-found": (
         "search-min-set --d 2 --n 3 --max-size 2 --format text",
         1, "079b7953181caf5e1fa00916dd486c2285c2e3ae69cab212d3dadb163d0c7bd5",
+    ),
+    "search-min-time-json": (
+        "search-min-time --d 2 --n 4 --size 4",
+        0, "5c7bd532a32fff630d7da8cdf1caea788fd0938e0e41cbe26dede8e49d21254d",
+    ),
+    "search-min-time-text": (
+        "search-min-time --d 2 --n 4 --size 4 --format text",
+        0, "2f003c9b3dcfde96c1cb78c01ea39d3ed5c7c69d7f03c15f0f9faf068561a3ab",
+    ),
+    "simulate-text": (
+        "simulate --d 3 --n 4 --construction hyperplanes --format text",
+        0, "e017300b59c826fdb70872cf818c67f0c3b3cb5a0c5e31dd009c93ee3d093d03",
     ),
     "simulate-trace-audit": (
         "simulate --d 3 --n 3 --construction hyperplanes --trace --audit",
@@ -95,6 +115,14 @@ def test_stdout_bytes_are_pinned(capsys, name):
     assert main(argv.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_separation_report_json_is_pinned():
+    # `verify` prints only text, so the report's document is pinned here
+    text = json.dumps(verify_separation(3, 5).to_json_dict(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4708e5fb1b20204c1d9110488bd38c32932b19a39da7e278cb1b6f86214a358d"
+    )
 
 
 # `simulate --format json` output of the record writer, pinned before it

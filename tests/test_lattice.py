@@ -8,11 +8,13 @@ from bootperc.experiments import sweep_time
 from bootperc.extremal import symmetry_index_maps
 from bootperc.lattice import (
     LatticeSpec,
+    cell_at,
     cell_to_index,
     index_dtype,
     index_to_cell,
     iter_level_cells,
     level_of,
+    levels,
     neighbor_lists,
     neighbor_masks,
     neighbor_table,
@@ -41,6 +43,13 @@ def test_spec_defaults_threshold_to_d():
 def test_spec_rejects_invalid(kwargs):
     with pytest.raises(ValueError):
         LatticeSpec(**kwargs)
+
+
+def test_index_and_level_guards():
+    with pytest.raises(ValueError, match=r"^index 9 outside \[0, 9\)$"):
+        cell_at(9, 2, 3)
+    with pytest.raises(ValueError, match="^invalid shape d=0, n=3$"):
+        levels(0, 3)
 
 
 def test_row_major_rule():
