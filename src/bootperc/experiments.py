@@ -129,9 +129,8 @@ class SweepTable:
     fit: dict | None = None
 
     def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)} | {
-            "rows": [row.to_json_dict() for row in self.rows]
-        }
+        rows = [row.to_json_dict() for row in self.rows]
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"rows": rows}
 
     def to_csv(self) -> str:
         lines = ["d,construction,n,T,percolates,cells"]
@@ -192,17 +191,18 @@ def sweep_time(
         raise ValueError("empty n range")
     # n**d exceeds the budget only at the two ends of the sorted values: the
     # smallest such n is the first value or the first from `top`, the least
-    # n >= 0 over it, found in a range by arithmetic (its len() may overflow)
-    top = bisect.bisect(range(cell_budget + 1), cell_budget, key=lambda n: n**d)
+    # n >= 0 over it; no step takes a len(), which may overflow on a range
+    lo, top = 0, cell_budget + 1  # lo**d <= cell_budget < top**d
+    while top - lo > 1:
+        mid = (lo + top) // 2
+        lo, top = (lo, mid) if mid**d > cell_budget else (mid, top)
     if ns[0] ** d > cell_budget:
         first = 0
     elif isinstance(ns, range):
         first = max(0, -((ns.start - top) // ns.step))
     else:
         first = bisect.bisect_left(ns, top)
-    over = ns[first:first + 1]
-    if over:
-        n = over[0]
+    for n in ns[first:first + 1]:
         raise BudgetExceededError(f"n={n} needs {n**d} cells, over the cell budget of {cell_budget}")
     rows = list(ordered_results(_sweep_row, ((d, n, construction) for n in ns), parallelism))
     return SweepTable(d=d, construction=construction, rows=rows, fit=_quadratic_fit(rows))

@@ -165,6 +165,13 @@ def test_sweep_cell_budget_names_the_smallest_n_over_it(d, n_values, smallest):
     assert str(exc.value) == f"n={smallest} needs {smallest**d} cells, over the cell budget of 10000"
 
 
+def test_sweep_cell_budget_above_sys_maxsize():
+    # the least n over the budget is found without a range of budget + 1 values
+    assert [row.n for row in sweep_time(2, [3], "hyperplanes", cell_budget=2**64).rows] == [3]
+    with pytest.raises(BudgetExceededError, match=f"^n={2**64 + 1} needs {2**64 + 1} cells, over"):
+        sweep_time(1, range(1, 10**20), "hyperplanes", cell_budget=2**64)
+
+
 def test_sweep_parallel_matches_serial():
     serial = sweep_time(2, range(3, 7), "hyperplanes")
     parallel = sweep_time(2, range(3, 7), "hyperplanes", parallelism=2)
