@@ -13,6 +13,11 @@ import json
 import os
 import sys
 
+# One BLAS thread, set before numpy loads: the only LAPACK call is a
+# 3-coefficient polyfit, and a worker thread costs startup time in every
+# process and pool worker.  A value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .constructions import CONSTRUCTIONS, build_construction

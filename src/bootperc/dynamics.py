@@ -4,8 +4,9 @@ A run starts from an initial infected set; in each round every healthy cell
 with at least ``r`` infected neighbours becomes infected, all at once.
 Infected cells never heal, so the process stabilises after finitely many
 rounds.  ``run`` is the frontier engine used everywhere: each round is one
-vectorised numpy pass over the neighbour-table rows of the cells infected
-in the round before, so its work is proportional to the cells it touches.
+vectorised numpy pass over the neighbour rows of the cells infected in the
+round before, computed from their face codes, so its work is proportional
+to the cells it touches and no neighbour table is built.
 ``run_naive`` rescans the whole lattice each round in plain Python and
 exists so the two can be checked against each other bit for bit.
 
@@ -23,7 +24,7 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .lattice import Cell, LatticeSpec, cell_at, cell_index, coordinates, neighbor_table, neighbors
+from .lattice import Cell, LatticeSpec, cell_at, cell_index, coordinates, neighbor_rows, neighbors
 
 # Rows :func:`_write_list` formats per write: a few MB of text, so a record
 # or witness document is never held whole.
@@ -386,33 +387,33 @@ def run(
 ) -> RunRecord:
     """Run the process to stabilisation with the frontier engine.
 
-    Each round is one vectorised pass over the rows of :func:`neighbor_table`
-    for the cells infected in the previous round: their healthy neighbours
-    gain one infected-neighbour count each, and those whose count reaches
-    ``r`` make up the next frontier, in ascending index order.  The audit
-    counts and the perimeter step are read from the same arrays.  Behaviour
-    is identical to :func:`run_naive`.
+    Each round is one vectorised pass over the :func:`neighbor_rows` of the
+    cells infected in the previous round: their healthy neighbours gain one
+    infected-neighbour count each, and those whose count reaches ``r`` make
+    up the next frontier, in ascending index order.  The new cells' rows are
+    computed once, for the perimeter step and the next round.  The audit
+    counts are read from the same arrays.  Behaviour is identical to
+    :func:`run_naive`.
     """
     _check_compatible(spec, initial, record_trace)
-    table = neighbor_table(spec)
     size, r, twod = spec.size, spec.r, 2 * spec.d
-    # times[size] is read through the table's -1 entries: a missing neighbour
+    # times[size] is read through the rows' -1 entries: a missing neighbour
     # looks infected at round 0, so it is never counted as healthy
     times = np.full(size + 1, -1, dtype=np.int64)
     times[size] = 0
-    batch = _index_array(initial)
-    times[batch] = 0
+    seeds = _index_array(initial)
+    times[seeds] = 0
+    rows = neighbor_rows(spec, seeds)
     counts = np.zeros(size, dtype=np.int64)
     trace = [perimeter(spec, initial)] if record_trace else None
     # each round's new cells and their counts; the step column is read from times
     crossed_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     count_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    infected_count = len(batch)
+    infected_count = len(seeds)
 
     t = 0
-    while len(batch):
-        # one cast of the int32 rows: the round's other indexing stays intp
-        hits = table[batch].ravel().astype(np.intp)
+    while len(rows):
+        hits = rows.ravel("K")  # the rows' memory order; no copy
         hits = hits[times[hits] < 0]
         candidates, gained = np.unique(hits, return_counts=True)
         counts[candidates] += gained
@@ -422,16 +423,16 @@ def run(
         t += 1
         times[crossed] = t
         crossed_counts = counts[crossed]
+        rows = neighbor_rows(spec, crossed)
         if audit:
             crossed_parts.append(crossed)
             count_parts.append(crossed_counts)
         if trace is not None:
             # the new cells add 2d each, less both ends of every edge to an
             # earlier cell (their counts) and to one another (inside)
-            inside = int(np.count_nonzero(times[table[crossed]] == t))
+            inside = int(np.count_nonzero(times[rows] == t))
             trace.append(trace[-1] + twod * len(crossed) - 2 * int(crossed_counts.sum()) - inside)
         infected_count += len(crossed)
-        batch = crossed
 
     events = None
     if audit:
@@ -462,7 +463,7 @@ def run_naive(
     :func:`run`.
     """
     _check_compatible(spec, initial, record_trace)
-    # built by coordinate arithmetic, independently of the table run reads
+    # built by coordinate arithmetic, independently of the rows run reads
     d, n, size = spec.d, spec.n, spec.size
     nbrs = [[cell_index(v, d, n) for v in neighbors(cell_at(i, d, n), spec)] for i in range(size)]
     r = spec.r
@@ -520,13 +521,13 @@ def closure(spec: LatticeSpec, initial: CellSet) -> CellSet:
 def perimeter(spec: LatticeSpec, cells: CellSet) -> int:
     """Edge count between member cells and non-member Z^d vertices (grid only).
 
-    Every member pays 2d, less one for each table entry of its row that is a
-    member; a missing grid neighbour (-1) is never a member.
+    Every member pays 2d, less one for each entry of its :func:`neighbor_rows`
+    that is a member; a missing grid neighbour (-1) is never a member.
     """
     if spec.topology != "grid":
         raise ValueError("perimeter is defined for the grid topology only")
     _check_compatible(spec, cells)
     is_member = np.append(cells._mask(), False)  # the -1 entries read the last slot
     members = np.flatnonzero(is_member)
-    inside = int(np.count_nonzero(is_member[neighbor_table(spec)[members]]))
+    inside = int(np.count_nonzero(is_member[neighbor_rows(spec, members)]))
     return 2 * spec.d * len(members) - inside

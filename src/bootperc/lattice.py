@@ -9,11 +9,13 @@ linear indices through the fixed row-major rule
 so the last coordinate varies fastest, as in the index grid
 ``np.arange(n**d).reshape((n,) * d)``.  Whole-lattice geometry is derived
 from that grid and its sparse coordinates ``np.indices((n,) * d,
-sparse=True)``: the neighbour table, and the per-cell coordinate sums of
-:func:`levels`, from which every level set (:func:`iter_level_cells` and
-the level-set constructions) is read.  All other modules rely on this
-mapping and on the fixed neighbour order (dimension 1..d, minus step
-before plus step) for bit-reproducible iteration.
+sparse=True)``: the per-cell face codes, from which :func:`neighbor_rows`
+computes the neighbours of any cells and :func:`neighbor_table` those of
+all, and the per-cell coordinate sums of :func:`levels`, from which every
+level set (:func:`iter_level_cells` and the level-set constructions) is
+read.  All other modules rely on this mapping and on the fixed neighbour
+order (dimension 1..d, minus step before plus step) for bit-reproducible
+iteration.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ MAX_CELLS = 2**32
 
 # Entries kept by each per-lattice cache.  Callers work on one lattice at a
 # time and sweeps never revisit one, so an unbounded cache only holds memory;
-# the neighbour table, the largest of them, keeps one entry.
+# the face codes and the neighbour table, the largest of them, keep one entry.
 LATTICE_CACHE_SIZE = 4
 
 
@@ -162,31 +164,65 @@ def index_dtype(size: int) -> np.dtype:
     return np.dtype(np.int32 if size <= 2**31 else np.int64)
 
 
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def _columns(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(2d, 1) arrays, one entry per neighbour column: its face bit, its
+    index step, and the torus's correction on that face.
+
+    Column 2a steps by minus the stride n**(d-1-a) of axis a and column 2a+1
+    by plus it.  Bit j of a face code marks the face that column j steps
+    off, where the torus goes n strides back to the opposite face.
+    """
+    bits = np.array([1 << j for j in range(2 * d)], dtype=np.min_scalar_type((1 << 2 * d) - 1))
+    step = np.array([sign * n ** (d - 1 - a) for a in range(d) for sign in (-1, 1)], dtype=np.intp)
+    return bits[:, None], step[:, None], -n * step[:, None]
+
+
 @lru_cache(maxsize=1)
-def neighbor_table(spec: LatticeSpec) -> np.ndarray:
-    """(size, 2d) array of neighbour indices, -1 where a grid neighbour is missing.
+def face_codes(d: int, n: int) -> np.ndarray:
+    """Per-cell code of the lattice faces each cell lies on, by linear index.
+
+    Bit 2a is set on the low face of axis a (coordinate 1) and bit 2a+1 on
+    the high face (coordinate n), in the smallest unsigned dtype that holds
+    2d bits; a cell of [1]^d lies on every face.  Each bit is an OR into one
+    slice of the index grid's shape.  One array is cached, since callers
+    work on one lattice at a time.
+    """
+    bits = _columns(d, n)[0].ravel()
+    codes = np.zeros((n,) * d, dtype=bits.dtype)
+    for axis in range(d):
+        along = np.moveaxis(codes, axis, 0)
+        along[0] |= bits[2 * axis]
+        along[-1] |= bits[2 * axis + 1]
+    return codes.reshape(-1)
+
+
+def neighbor_rows(spec: LatticeSpec, cells: np.ndarray) -> np.ndarray:
+    """(len(cells), 2d) intp neighbour indices of the cells at the linear indices ``cells``.
 
     Column order matches :func:`neighbors`: (dim1-, dim1+, dim2-, dim2+, ...).
-    The dtype is :func:`index_dtype`: int32 up to 2^31 cells, half the
-    bytes of int64.  Along each axis the two columns are slice copies of
-    the index grid shifted by one step; the edge slice left over is -1 on
-    the grid and the opposite face on the torus.  One table is cached,
-    since callers work on one lattice at a time.
+    An entry is the cell's index plus the column's step, except on the
+    faces marked in the cell's :func:`face_codes`: there it is -1 on the
+    grid and the opposite face's cell on the torus.  The result is the
+    transpose of a C-ordered (2d, len(cells)) array, so each numpy call
+    runs along the cells, not along a row of 2d entries.
     """
-    n, d = spec.n, spec.d
-    dtype = index_dtype(spec.size)
-    grid = np.arange(spec.size, dtype=dtype).reshape((n,) * d)
-    table = np.empty((n,) * d + (2 * d,), dtype=dtype)
-    torus = spec.topology == "torus"
-    for axis in range(d):
-        along = np.moveaxis(grid, axis, 0)
-        minus = np.moveaxis(table[..., 2 * axis], axis, 0)
-        plus = np.moveaxis(table[..., 2 * axis + 1], axis, 0)
-        minus[1:] = along[:-1]
-        plus[:-1] = along[1:]
-        minus[0] = along[-1] if torus else -1
-        plus[-1] = along[0] if torus else -1
-    return table.reshape(spec.size, 2 * d)
+    bits, step, wrap = _columns(spec.d, spec.n)
+    columns = step + cells
+    on_face = bits & face_codes(spec.d, spec.n)[cells]
+    np.putmask(columns, on_face, columns + wrap if spec.topology == "torus" else -1)
+    return columns.T
+
+
+@lru_cache(maxsize=1)
+def neighbor_table(spec: LatticeSpec) -> np.ndarray:
+    """(size, 2d) :func:`neighbor_rows` of every cell, in :func:`index_dtype`.
+
+    int32 up to 2^31 cells halves the bytes of int64 for the search kernel,
+    which reads whole columns; each column is contiguous.  One table is
+    cached, since callers work on one lattice at a time.
+    """
+    return neighbor_rows(spec, np.arange(spec.size)).astype(index_dtype(spec.size))
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
@@ -194,7 +230,8 @@ def neighbor_lists(spec: LatticeSpec) -> list[list[int]]:
     """Per-cell neighbour index lists (shared, do not mutate).
 
     Kept only for :func:`neighbor_masks` and the benchmark's layer probes;
-    the engines read :func:`neighbor_table` or :func:`neighbors`.
+    the engines read :func:`neighbor_rows`, :func:`neighbor_table` or
+    :func:`neighbors`.
     """
     return [[x for x in row if x >= 0] for row in neighbor_table(spec).tolist()]
 

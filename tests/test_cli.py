@@ -131,6 +131,26 @@ def test_cli_import_loads_no_pool_modules():
             assert loaded == "[]"
 
 
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads through Linux /proc")
+def test_cli_import_starts_no_blas_thread():
+    # the CLI asks for one OpenBLAS thread before numpy loads, so the process
+    # keeps its one thread; a number the user set is left as it is
+    src = str(Path(bootperc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import os, bootperc.cli; print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+
+    def threads_and_setting():
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        return result.stdout.split()
+
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    assert threads_and_setting() == ["1", "1"]
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    assert threads_and_setting()[1] == "2"
+
+
 # the 50 public names of the package, as listed before they resolved lazily
 PUBLIC_NAMES = {
     "AuditEvent", "BudgetExceededError", "CONSTRUCTIONS", "Cell", "CellSet", "LatticeSpec",

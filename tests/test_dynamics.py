@@ -2,6 +2,7 @@ import io
 import json
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from bootperc import dynamics, lattice
 from bootperc.constructions import hyperplane_union
 from bootperc.dynamics import CellSet, closure, perimeter, run, run_naive, write_record_json
-from bootperc.lattice import LatticeSpec, neighbor_table
+from bootperc.experiments import sweep_time, verify_separation, verify_strip_fill
+from bootperc.lattice import LatticeSpec, neighbor_rows, neighbor_table
 
 
 def cellset(d, n, *cells):
@@ -310,10 +312,10 @@ def test_oracle_does_not_read_the_neighbour_table(monkeypatch):
     spec = LatticeSpec(2, 6, r=1)
     seed = CellSet.from_cells(2, 6, [(2, 3)])
     reference = run(spec, seed, audit=True)
-    # every row now lists the neighbours of the previous cell
-    corrupted = np.roll(neighbor_table(spec), 1, axis=0)
-    for module in (dynamics, lattice):
-        monkeypatch.setattr(module, "neighbor_table", lambda _spec: corrupted)
+    # every cell now carries the face code of the previous cell, so the
+    # engine's rows step off the wrong faces
+    corrupted = np.roll(lattice.face_codes(2, 6), 1)
+    monkeypatch.setattr(lattice, "face_codes", lambda _d, _n: corrupted)
     assert run(spec, seed, audit=True) != reference
     assert run_naive(spec, seed, audit=True) == reference
 
@@ -326,9 +328,19 @@ def _int64_table_cases():
 
 @pytest.mark.parametrize("d,n,topology", list(_int64_table_cases()))
 def test_int32_table_gives_the_int64_results(monkeypatch, d, n, topology):
-    """The engine reads the same records from the int32 table as from an int64 copy."""
-    original = lattice.neighbor_table
-    assert original(LatticeSpec(d, n, topology)).dtype == np.int32
+    """Every row the engine computes equals the row of an int64 copy of the
+    search kernel's int32 table."""
+    table = neighbor_table(LatticeSpec(d, n, topology))
+    assert table.dtype == np.int32
+    wide = table.astype(np.int64)
+    calls = []
+
+    def recorded(spec, cells):
+        rows = neighbor_rows(spec, cells)
+        calls.append((cells, rows))
+        return rows
+
+    monkeypatch.setattr(dynamics, "neighbor_rows", recorded)
     rng = random.Random(f"{d}-{n}-{topology}")
     size = n**d
     for r in range(1, 2 * d + 1):
@@ -336,13 +348,48 @@ def test_int32_table_gives_the_int64_results(monkeypatch, d, n, topology):
         trace = topology == "grid"
         for _ in range(3):
             seed = CellSet.from_indices(d, n, rng.sample(range(size), rng.randrange(1, size // 2 + 1)))
-            narrow = run(spec, seed, audit=True, record_trace=trace)
-            with monkeypatch.context() as m:
-                m.setattr(dynamics, "neighbor_table", lambda s: original(s).astype(np.int64))
-                wide = run(spec, seed, audit=True, record_trace=trace)
-            assert np.array_equal(narrow.times_array, wide.times_array)
-            assert np.array_equal(narrow.audit_array, wide.audit_array)
-            assert narrow.perimeter_trace == wide.perimeter_trace
+            run(spec, seed, audit=True, record_trace=trace)
+    assert calls
+    for cells, rows in calls:
+        assert rows.dtype == np.intp
+        assert np.array_equal(rows, wide[cells])
+
+
+def test_engine_reads_no_neighbour_table(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("neighbour table built")
+
+    monkeypatch.setattr(lattice, "neighbor_table", refuse)
+    assert not hasattr(dynamics, "neighbor_table")
+    spec = LatticeSpec(3, 6)
+    record = run(spec, hyperplane_union(3, 6), audit=True, record_trace=True)
+    assert record.percolates and record.T == 14
+    assert perimeter(spec, hyperplane_union(3, 6)) == 6 * 36
+    assert run(LatticeSpec(3, 6, "torus"), hyperplane_union(3, 6)).percolates
+    assert [row.T for row in sweep_time(3, [6, 7], "hyperplanes").rows] == [14, 19]
+    assert verify_strip_fill(3, 6, 2)
+    assert verify_separation(3, 6).holds
+
+
+def test_engine_peak_memory_per_cell():
+    # times and counts are 8 B per cell each; no per-cell neighbour rows
+    spec, seed = LatticeSpec(3, 60), hyperplane_union(3, 60)
+    tracemalloc.start()
+    try:
+        record = run(spec, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert record.percolates
+    assert peak < 32 * spec.size
+
+
+def test_hyperplane_union_on_a_million_cells():
+    # floor(n^2/2) - n + 2 rounds, on a lattice the oracle cannot reach
+    n = 100
+    record = run(LatticeSpec(3, n), hyperplane_union(3, n))
+    assert record.percolates
+    assert record.T == n * n // 2 - n + 2 == 4902
 
 
 def _equivalence_cases():

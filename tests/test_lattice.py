@@ -10,6 +10,7 @@ from bootperc.lattice import (
     LatticeSpec,
     cell_at,
     cell_to_index,
+    face_codes,
     index_dtype,
     index_to_cell,
     iter_level_cells,
@@ -17,6 +18,7 @@ from bootperc.lattice import (
     levels,
     neighbor_lists,
     neighbor_masks,
+    neighbor_rows,
     neighbor_table,
     neighbors,
 )
@@ -194,9 +196,66 @@ def test_index_dtype_is_int32_up_to_2_31_cells():
         assert neighbor_table(spec).dtype == np.int32
 
 
+def _slice_table(spec):
+    """The neighbour table built by slice copies of the index grid shifted
+    one step along each axis; the edge slice left over is -1 on the grid
+    and the opposite face on the torus."""
+    n, d = spec.n, spec.d
+    grid = np.arange(spec.size).reshape((n,) * d)
+    table = np.empty((n,) * d + (2 * d,), dtype=np.int64)
+    torus = spec.topology == "torus"
+    for axis in range(d):
+        along = np.moveaxis(grid, axis, 0)
+        minus = np.moveaxis(table[..., 2 * axis], axis, 0)
+        plus = np.moveaxis(table[..., 2 * axis + 1], axis, 0)
+        minus[1:] = along[:-1]
+        plus[:-1] = along[1:]
+        minus[0] = along[-1] if torus else -1
+        plus[-1] = along[0] if torus else -1
+    return table.reshape(spec.size, 2 * d)
+
+
+def _row_specs():
+    for d in range(1, 6):
+        for n in (1, 2, 3, 5):
+            yield LatticeSpec(d, n)
+        for n in (3, 4, 5):
+            yield LatticeSpec(d, n, "torus")
+
+
+@pytest.mark.parametrize("spec", list(_row_specs()), ids=str)
+def test_neighbor_rows_match_neighbors_and_the_slice_table(spec):
+    reference = _slice_table(spec)
+    rows = neighbor_rows(spec, np.arange(spec.size))
+    assert rows.dtype == np.intp
+    assert np.array_equal(rows, reference)
+    assert np.array_equal(neighbor_table(spec), reference)
+    for i, row in enumerate(rows.tolist()):
+        present = [cell_to_index(v, spec) for v in neighbors(index_to_cell(i, spec), spec)]
+        assert [x for x in row if x >= 0] == present
+    # any index array, in any order and with repeats
+    cells = np.random.default_rng(spec.size).integers(0, spec.size, 2 * spec.size)
+    assert np.array_equal(neighbor_rows(spec, cells), reference[cells])
+    assert neighbor_rows(spec, cells[:0]).shape == (0, 2 * spec.d)
+
+
+def test_face_codes_mark_each_face_with_its_bit():
+    codes = face_codes(2, 3)
+    assert codes.dtype == np.uint8
+    # bit 0: first coordinate 1, bit 1: first coordinate 3, bits 2 and 3: the second's
+    assert codes.tolist() == [0b0101, 0b0001, 0b1001, 0b0100, 0, 0b1000, 0b0110, 0b0010, 0b1010]
+    assert face_codes(1, 1).tolist() == [0b11]
+    assert face_codes(4, 2).dtype == np.uint8
+    assert face_codes(5, 2).dtype == np.uint16
+    assert face_codes(32, 1).dtype == np.uint64
+
+
 def test_sweep_holds_one_neighbour_table():
+    neighbor_table.cache_clear()
+    face_codes.cache_clear()
     sweep_time(3, range(3, 9), "hyperplanes")
-    assert neighbor_table.cache_info().currsize == 1
+    assert neighbor_table.cache_info().currsize == 0
+    assert face_codes.cache_info().currsize == 1
 
 
 def _check_automorphisms(spec, maps):
