@@ -111,7 +111,10 @@ def _load_initial(args: argparse.Namespace) -> CellSet:
 
 def _stream_snapshots(record: RunRecord, every: int) -> None:
     # one stable sort groups the cells of every emitted step, each group in
-    # ascending index order as newly_infected would list them
+    # ascending index order as newly_infected would list them.  A K above T
+    # emits step 0 alone, as K = T + 1 does, so K is clamped to T + 1: the
+    # modulo would raise on a K that does not fit the times' dtype
+    every = min(every, record.T + 1)
     times = record.times_array
     emitted = np.flatnonzero((times >= 0) & (times % every == 0))
     emitted = emitted[np.argsort(times[emitted], kind="stable")]

@@ -24,7 +24,9 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .lattice import Cell, LatticeSpec, cell_at, cell_index, coordinates, neighbor_rows, neighbors
+from .lattice import (
+    Cell, LatticeSpec, cell_at, cell_index, coordinates, index_dtype, neighbor_rows, neighbors,
+)
 
 # Rows :func:`_write_list` formats per write: a few MB of text, so a record
 # or witness document is never held whole.
@@ -192,12 +194,15 @@ class RunRecord:
     """Full trajectory of one synchronous run, held as integer columns.
 
     ``times_array[i]`` is the infection round of the cell with linear index
-    ``i`` (0 for initially infected, -1 for never infected).  ``T`` is the
-    last round in which anything new got infected; a closed initial set, the
-    empty set included, has ``T = 0``.  ``audit_array`` has one row
+    ``i`` (0 for initially infected, -1 for never infected).  :func:`run`
+    stores it in :func:`index_dtype` of the cell count, which holds every
+    round and -1; a signed integer array passed in is kept as it is, and any
+    other sequence becomes int64.  ``T`` is the last round in which anything
+    new got infected; a closed initial set, the empty set included, has
+    ``T = 0``.  ``audit_array`` is an int64 table with one row
     ``(cell index, step, infected neighbours)`` per infection, in event
-    order.  Sequences passed for either are converted to int64 arrays; the
-    list views :attr:`times` and :attr:`audit` are built on demand.
+    order.  The list views :attr:`times` and :attr:`audit` are built on
+    demand.
     """
 
     spec: LatticeSpec
@@ -209,7 +214,9 @@ class RunRecord:
     audit_array: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.times_array = np.asarray(self.times_array, dtype=np.int64)
+        times = self.times_array
+        if not (isinstance(times, np.ndarray) and times.dtype.kind == "i"):
+            self.times_array = np.asarray(times, dtype=np.int64)
         if self.audit_array is not None:
             self.audit_array = np.asarray(self.audit_array, dtype=np.int64).reshape(-1, 3)
 
@@ -394,17 +401,21 @@ def run(
     computed once, for the perimeter step and the next round.  The audit
     counts are read from the same arrays.  Behaviour is identical to
     :func:`run_naive`.
+
+    Per cell the engine holds one uint8 count (no count exceeds 2d) and one
+    round in :func:`index_dtype`; each frontier array is dropped after its
+    last use.
     """
     _check_compatible(spec, initial, record_trace)
     size, r, twod = spec.size, spec.r, 2 * spec.d
     # times[size] is read through the rows' -1 entries: a missing neighbour
     # looks infected at round 0, so it is never counted as healthy
-    times = np.full(size + 1, -1, dtype=np.int64)
+    times = np.full(size + 1, -1, dtype=index_dtype(size))
     times[size] = 0
     seeds = _index_array(initial)
     times[seeds] = 0
     rows = neighbor_rows(spec, seeds)
-    counts = np.zeros(size, dtype=np.int64)
+    counts = np.zeros(size, dtype=np.uint8)
     trace = [perimeter(spec, initial)] if record_trace else None
     # each round's new cells and their counts; the step column is read from times
     crossed_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
@@ -415,8 +426,10 @@ def run(
     while len(rows):
         hits = rows.ravel("K")  # the rows' memory order; no copy
         hits = hits[times[hits] < 0]
+        del rows
         candidates, gained = np.unique(hits, return_counts=True)
-        counts[candidates] += gained
+        del hits
+        counts[candidates] += gained.astype(np.uint8)
         crossed = candidates[counts[candidates] >= r]
         if not len(crossed):
             break

@@ -159,8 +159,12 @@ def levels(d: int, n: int) -> np.ndarray:
 
 
 def index_dtype(size: int) -> np.dtype:
-    """Signed dtype of the neighbour table of a ``size``-cell lattice:
-    int32 while every index and -1 fit (size <= 2^31), int64 above."""
+    """Signed dtype of a ``size``-cell lattice's per-cell indices and rounds:
+    int32 while every index and -1 fit (size <= 2^31), int64 above.
+
+    It types :func:`neighbor_table` and the infection rounds that
+    :func:`dynamics.run` keeps; no round exceeds the cell count.
+    """
     return np.dtype(np.int32 if size <= 2**31 else np.int64)
 
 

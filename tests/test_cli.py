@@ -217,6 +217,20 @@ def test_simulate_snapshot_stream(capsys):
         assert lines[-1] == {"T": 4, "percolates": True}
 
 
+def test_simulate_snapshot_interval_beyond_the_times_dtype(capsys):
+    # every K above T emits step 0 alone, as K = T + 1 does, even when K
+    # fits no integer dtype of the times column
+    def snapshot(every):
+        return invoke(
+            capsys, "simulate", "--d", "3", "--n", "6", "--construction", "hyperplanes",
+            "--snapshot", f"every={every}",
+        )
+
+    reference = snapshot(15)  # T = 14
+    assert reference[0] == 0 and reference[1].count("\n") == 2
+    assert snapshot(2**31) == snapshot(10**20) == reference
+
+
 def test_construct_text_and_json(capsys):
     code, out, _ = invoke(capsys, "construct", "--d", "2", "--n", "3", "--construction", "hyperplanes")
     assert code == 0

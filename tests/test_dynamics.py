@@ -372,16 +372,19 @@ def test_engine_reads_no_neighbour_table(monkeypatch):
 
 
 def test_engine_peak_memory_per_cell():
-    # times and counts are 8 B per cell each; no per-cell neighbour rows
-    spec, seed = LatticeSpec(3, 60), hyperplane_union(3, 60)
-    tracemalloc.start()
-    try:
-        record = run(spec, seed)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert record.percolates
-    assert peak < 32 * spec.size
+    # 1 B of count and 4 B of round per cell, no per-cell neighbour rows, and
+    # no frontier kept past its round: about 9 B at [60]^3 and 25 B at [12]^5,
+    # where the frontier reaches a tenth of the lattice
+    for d, n, bound in ((3, 60, 16), (5, 12, 32)):
+        spec, seed = LatticeSpec(d, n), hyperplane_union(d, n)
+        tracemalloc.start()
+        try:
+            record = run(spec, seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert record.percolates
+        assert peak < bound * spec.size, (d, n)
 
 
 def test_hyperplane_union_on_a_million_cells():
@@ -390,6 +393,29 @@ def test_hyperplane_union_on_a_million_cells():
     record = run(LatticeSpec(3, n), hyperplane_union(3, n))
     assert record.percolates
     assert record.T == n * n // 2 - n + 2 == 4902
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [LatticeSpec(12, 2, r=r) for r in (1, 12, 24)] + [LatticeSpec(6, 3, "torus", r) for r in (1, 6, 12)],
+    ids=str,
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_engines_agree_on_counts_up_to_2d(spec, seed):
+    """[2]^12 has 24 row columns per cell, 12 of them off the grid; the
+    6-torus gives every cell all 2d = 12 neighbours, so at r = 2d only full
+    counts infect.  The engine's uint8 counts read as the oracle's."""
+    rng = random.Random(f"{spec}-{seed}")
+    # dense seeds leave healthy cells ringed by infected ones
+    density = 0.1 if spec.r == 1 else 0.5 if spec.r == spec.d else 0.9
+    initial = CellSet.from_indices(
+        spec.d, spec.n, [i for i in range(spec.size) if rng.random() < density]
+    )
+    trace = spec.topology == "grid"
+    record = run(spec, initial, audit=True, record_trace=trace)
+    assert record == run_naive(spec, initial, audit=True, record_trace=trace)
+    if spec.topology == "torus" and spec.r == 2 * spec.d:
+        assert record.T > 0 and set(record.audit_array[:, 2].tolist()) == {2 * spec.d}
 
 
 def _equivalence_cases():
@@ -464,9 +490,23 @@ def test_audit_columns_read_as_the_oracles_events():
         assert [ev.infected_neighbors for ev in rec.audit] == count
 
 
-def test_times_are_one_int64_column_with_a_list_view():
+def test_times_are_one_index_dtype_column_with_a_list_view():
     spec = LatticeSpec(2, 4)
     rec = run(spec, cellset(2, 4, (1, 1), (4, 4)))
-    assert rec.times_array.dtype == np.int64 and rec.times_array.shape == (16,)
+    assert rec.times_array.dtype == lattice.index_dtype(spec.size) == np.int32
+    assert rec.times_array.shape == (16,)
     assert rec.times == rec.times_array.tolist() and type(rec.times[0]) is int
-    assert rec == run_naive(spec, cellset(2, 4, (1, 1), (4, 4)))
+    # the oracle's list becomes int64; the records still compare equal
+    oracle = run_naive(spec, cellset(2, 4, (1, 1), (4, 4)))
+    assert oracle.times_array.dtype == np.int64
+    assert rec == oracle
+
+
+def test_record_keeps_an_integer_times_array_without_a_copy():
+    spec, initial = LatticeSpec(1, 3), cellset(1, 3, (2,))
+    times = np.array([1, 0, 1], dtype=np.int32)
+    kept = dynamics.RunRecord(spec, initial, times, T=1, percolates=True)
+    assert kept.times_array.dtype == np.int32 and np.shares_memory(kept.times_array, times)
+    listed = dynamics.RunRecord(spec, initial, [1, 0, 1], T=1, percolates=True)
+    assert listed.times_array.dtype == np.int64
+    assert kept == listed == run(spec, initial)
