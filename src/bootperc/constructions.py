@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import CellSet
-from .lattice import levels
+from .lattice import face_codes, levels
 
 NAMED_SETS = ("diagonal2d", "boundary", "torus3")
 CONSTRUCTIONS = ("hyperplanes", "shifted") + NAMED_SETS
@@ -50,10 +50,7 @@ def boundary(d: int, n: int) -> CellSet:
     """All cells with some coordinate equal to 1 or n."""
     if d < 1 or n < 1:
         raise ValueError(f"invalid shape d={d}, n={n}")
-    edge = np.zeros((n,) * d, dtype=bool)
-    for coord in np.indices((n,) * d, sparse=True):
-        edge |= (coord == 0) | (coord == n - 1)
-    return CellSet._from_mask(d, n, edge.ravel())
+    return CellSet._from_mask(d, n, face_codes(d, n) != 0)
 
 
 def torus3_seed(n: int) -> CellSet:

@@ -24,9 +24,7 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .lattice import (
-    Cell, LatticeSpec, cell_at, cell_index, coordinates, index_dtype, neighbor_rows, neighbors,
-)
+from .lattice import Cell, LatticeSpec, cell_at, cell_index, coordinates, neighbor_rows, neighbors
 
 # Rows :func:`_write_list` formats per write: a few MB of text, so a record
 # or witness document is never held whole.
@@ -194,12 +192,11 @@ class RunRecord:
     """Full trajectory of one synchronous run, held as integer columns.
 
     ``times_array[i]`` is the infection round of the cell with linear index
-    ``i`` (0 for initially infected, -1 for never infected).  :func:`run`
-    stores it in :func:`index_dtype` of the cell count, which holds every
-    round and -1; a signed integer array passed in is kept as it is, and any
-    other sequence becomes int64.  ``T`` is the last round in which anything
-    new got infected; a closed initial set, the empty set included, has
-    ``T = 0``.  ``audit_array`` is an int64 table with one row
+    ``i`` (0 for initially infected, -1 for never infected), in int32, which
+    holds every round and -1 of a lattice of at most ``MAX_CELLS`` cells;
+    :func:`run`'s column is kept without a copy.  ``T`` is the last round
+    in which anything new got infected; a closed initial set, the empty set
+    included, has ``T = 0``.  ``audit_array`` is an int64 table with one row
     ``(cell index, step, infected neighbours)`` per infection, in event
     order.  The list views :attr:`times` and :attr:`audit` are built on
     demand.
@@ -214,9 +211,7 @@ class RunRecord:
     audit_array: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        times = self.times_array
-        if not (isinstance(times, np.ndarray) and times.dtype.kind == "i"):
-            self.times_array = np.asarray(times, dtype=np.int64)
+        self.times_array = np.asarray(self.times_array, dtype=np.int32)
         if self.audit_array is not None:
             self.audit_array = np.asarray(self.audit_array, dtype=np.int64).reshape(-1, 3)
 
@@ -403,14 +398,13 @@ def run(
     :func:`run_naive`.
 
     Per cell the engine holds one uint8 count (no count exceeds 2d) and one
-    round in :func:`index_dtype`; each frontier array is dropped after its
-    last use.
+    int32 round; each frontier array is dropped after its last use.
     """
     _check_compatible(spec, initial, record_trace)
     size, r, twod = spec.size, spec.r, 2 * spec.d
     # times[size] is read through the rows' -1 entries: a missing neighbour
     # looks infected at round 0, so it is never counted as healthy
-    times = np.full(size + 1, -1, dtype=index_dtype(size))
+    times = np.full(size + 1, -1, dtype=np.int32)
     times[size] = 0
     seeds = _index_array(initial)
     times[seeds] = 0

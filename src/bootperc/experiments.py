@@ -189,16 +189,15 @@ def sweep_time(
     ns = n_values if isinstance(n_values, range) and n_values.step > 0 else sorted(set(n_values))
     if not ns:
         raise ValueError("empty n range")
-    # n**d exceeds the budget only at the two ends of the sorted values: the
-    # smallest such n is the first value or the first from `top`, the least
-    # n >= 0 over it; no step takes a len(), which may overflow on a range
+    if ns[0] < 1:
+        raise ValueError(f"invalid shape d={d}, n={ns[0]}")
+    # n**d grows with n: the smallest n over the budget is the first value from
+    # `top`, the least n over it; no step takes a len(), which may overflow on a range
     lo, top = 0, cell_budget + 1  # lo**d <= cell_budget < top**d
     while top - lo > 1:
         mid = (lo + top) // 2
         lo, top = (lo, mid) if mid**d > cell_budget else (mid, top)
-    if ns[0] ** d > cell_budget:
-        first = 0
-    elif isinstance(ns, range):
+    if isinstance(ns, range):
         first = max(0, -((ns.start - top) // ns.step))
     else:
         first = bisect.bisect_left(ns, top)

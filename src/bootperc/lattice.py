@@ -30,7 +30,9 @@ Cell = tuple[int, ...]
 Topology = Literal["grid", "torus"]
 
 # Hard ceiling on addressable cells; anything above is rejected outright.
-MAX_CELLS = 2**32
+# Every index, every round and the -1 marker of a lattice this size fit in
+# int32, the one dtype of the per-cell indices and rounds the toolkit keeps.
+MAX_CELLS = 2**31
 
 # Entries kept by each per-lattice cache.  Callers work on one lattice at a
 # time and sweeps never revisit one, so an unbounded cache only holds memory;
@@ -158,16 +160,6 @@ def levels(d: int, n: int) -> np.ndarray:
     return sum(np.indices((n,) * d, dtype=dtype, sparse=True), dtype.type(d)).ravel()
 
 
-def index_dtype(size: int) -> np.dtype:
-    """Signed dtype of a ``size``-cell lattice's per-cell indices and rounds:
-    int32 while every index and -1 fit (size <= 2^31), int64 above.
-
-    It types :func:`neighbor_table` and the infection rounds that
-    :func:`dynamics.run` keeps; no round exceeds the cell count.
-    """
-    return np.dtype(np.int32 if size <= 2**31 else np.int64)
-
-
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def _columns(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(2d, 1) arrays, one entry per neighbour column: its face bit, its
@@ -220,13 +212,14 @@ def neighbor_rows(spec: LatticeSpec, cells: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def neighbor_table(spec: LatticeSpec) -> np.ndarray:
-    """(size, 2d) :func:`neighbor_rows` of every cell, in :func:`index_dtype`.
+    """(size, 2d) :func:`neighbor_rows` of every cell, in int32.
 
-    int32 up to 2^31 cells halves the bytes of int64 for the search kernel,
-    which reads whole columns; each column is contiguous.  One table is
-    cached, since callers work on one lattice at a time.
+    int32 (every index of :data:`MAX_CELLS` cells fits) halves the bytes of
+    int64 for the search kernel, which reads whole columns; each column is
+    contiguous.  One table is cached, since callers work on one lattice at
+    a time.
     """
-    return neighbor_rows(spec, np.arange(spec.size)).astype(index_dtype(spec.size))
+    return neighbor_rows(spec, np.arange(spec.size)).astype(np.int32)
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)

@@ -418,15 +418,34 @@ def test_sweep_refuses_a_huge_range_before_building_it(capsys):
 
 
 @pytest.mark.parametrize(
+    "d, code, err",
+    [
+        ("32", 2, f"error: 2**32 cells exceed the limit of {2**31}\n"),
+        ("31", 3, f"error: search over {2**31} candidate sets exceeds the budget of 100000000\n"),
+    ],
+)
+def test_lattices_over_2_31_cells_are_refused_up_front(capsys, d, code, err):
+    # 2^31 cells is the last lattice whose indices all fit in int32; neither
+    # case allocates a per-cell array
+    tracemalloc.start()
+    try:
+        result = invoke(capsys, "search-min-set", "--d", d, "--n", "2", "--max-size", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (code, "", err)
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize(
     "d, n_range, code, err",
     [
         ("3", "1:100000000000000000000", 3,
          "error: n=204 needs 8489664 cells, over the cell budget of 8388608\n"),
         ("2", "1:100000000000000000000", 3,
          "error: n=2897 needs 8392609 cells, over the cell budget of 8388608\n"),
-        ("2", "-100000000000000000000:5", 3,
-         f"error: n=-100000000000000000000 needs {10**40} cells, over the cell budget of 8388608\n"),
-        # n**3 < 0 is never over the budget, so the first row's shape is refused
+        # a value below 1 is refused before the budget, whatever the sign of n**d
+        ("2", "-100000000000000000000:5", 2, "error: invalid shape d=2, n=-100000000000000000000\n"),
         ("3", "-100000000000000000000:5", 2, "error: invalid shape d=3, n=-100000000000000000000\n"),
     ],
     ids=["d3", "d2", "d2-negative", "d3-negative"],

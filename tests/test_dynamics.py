@@ -490,23 +490,24 @@ def test_audit_columns_read_as_the_oracles_events():
         assert [ev.infected_neighbors for ev in rec.audit] == count
 
 
-def test_times_are_one_index_dtype_column_with_a_list_view():
+def test_times_are_one_int32_column_with_a_list_view():
     spec = LatticeSpec(2, 4)
     rec = run(spec, cellset(2, 4, (1, 1), (4, 4)))
-    assert rec.times_array.dtype == lattice.index_dtype(spec.size) == np.int32
+    assert rec.times_array.dtype == np.int32
     assert rec.times_array.shape == (16,)
     assert rec.times == rec.times_array.tolist() and type(rec.times[0]) is int
-    # the oracle's list becomes int64; the records still compare equal
-    oracle = run_naive(spec, cellset(2, 4, (1, 1), (4, 4)))
-    assert oracle.times_array.dtype == np.int64
-    assert rec == oracle
 
 
-def test_record_keeps_an_integer_times_array_without_a_copy():
+def test_every_record_holds_int32_times_and_keeps_runs_column_without_a_copy():
     spec, initial = LatticeSpec(1, 3), cellset(1, 3, (2,))
-    times = np.array([1, 0, 1], dtype=np.int32)
-    kept = dynamics.RunRecord(spec, initial, times, T=1, percolates=True)
-    assert kept.times_array.dtype == np.int32 and np.shares_memory(kept.times_array, times)
-    listed = dynamics.RunRecord(spec, initial, [1, 0, 1], T=1, percolates=True)
-    assert listed.times_array.dtype == np.int64
-    assert kept == listed == run(spec, initial)
+    ran = run(spec, initial)
+    kept = dynamics.RunRecord(spec, initial, ran.times_array, T=1, percolates=True)
+    assert np.shares_memory(kept.times_array, ran.times_array)
+    records = [
+        ran,
+        run_naive(spec, initial),
+        dynamics.RunRecord(spec, initial, [1, 0, 1], T=1, percolates=True),
+        dynamics.RunRecord(spec, initial, np.array([1, 0, 1], dtype=np.int64), T=1, percolates=True),
+    ]
+    assert [rec.times_array.dtype for rec in records] == [np.int32] * 4
+    assert all(rec == kept for rec in records)

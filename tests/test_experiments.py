@@ -153,8 +153,6 @@ def test_sweep_cell_budget():
         (3, range(1, 10**5), 22),
         (3, range(3, 100, 4), 23),
         (3, range(99, 0, -4), 23),
-        (2, [-200, 3, 4], -200),
-        (2, [-5, 3, 101], 101),
         (1, range(1, 10**5), 10**4 + 1),
     ],
 )
@@ -163,6 +161,17 @@ def test_sweep_cell_budget_names_the_smallest_n_over_it(d, n_values, smallest):
     with pytest.raises(BudgetExceededError) as exc:
         sweep_time(d, n_values, "hyperplanes", cell_budget=10**4)
     assert str(exc.value) == f"n={smallest} needs {smallest**d} cells, over the cell budget of 10000"
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize(
+    "n_values, smallest",
+    [([-200, 3, 4], -200), ([-5, 3, 101], -5), (range(0, 10**5), 0), (range(-10**20, 5), -10**20)],
+)
+def test_sweep_refuses_a_value_below_1_before_the_budget(d, n_values, smallest):
+    # the same shape error for every d, whether or not smallest**d is over the budget
+    with pytest.raises(ValueError, match=f"^invalid shape d={d}, n={smallest}$"):
+        sweep_time(d, n_values, "hyperplanes", cell_budget=10**4)
 
 
 def test_sweep_cell_budget_above_sys_maxsize():

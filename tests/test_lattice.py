@@ -7,11 +7,11 @@ import pytest
 from bootperc.experiments import sweep_time
 from bootperc.extremal import symmetry_index_maps
 from bootperc.lattice import (
+    MAX_CELLS,
     LatticeSpec,
     cell_at,
     cell_to_index,
     face_codes,
-    index_dtype,
     index_to_cell,
     iter_level_cells,
     level_of,
@@ -188,10 +188,13 @@ def test_neighbor_table_rows_match_neighbors(spec):
         assert row == expected
 
 
-def test_index_dtype_is_int32_up_to_2_31_cells():
+def test_lattices_are_capped_at_2_31_cells_so_int32_holds_every_index():
     # the largest int32 index is 2^31 - 1, the last cell of 2^31
-    assert index_dtype(2**31) == np.int32
-    assert index_dtype(2**31 + 1) == np.int64
+    assert MAX_CELLS == 2**31
+    assert LatticeSpec(31, 2).size == LatticeSpec(1, 2**31).size == 2**31
+    for d, n in [(1, 2**31 + 1), (32, 2)]:
+        with pytest.raises(ValueError, match=f"cells exceed the limit of {2**31}$"):
+            LatticeSpec(d, n)
     for spec in _table_specs():
         assert neighbor_table(spec).dtype == np.int32
 
