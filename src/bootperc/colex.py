@@ -29,7 +29,7 @@ from .lattice import LATTICE_CACHE_SIZE
 # Words of 64 candidates in one work unit.
 _CHUNK_WORDS = 2**9
 # Cap on cells x candidates, in bits, of the table T_j and of a work unit's
-# planes, so that either takes at most 512 KB; lattices under 128 cells
+# planes, so that either takes at most 512 KB; lattices of up to 128 cells
 # keep the full _CHUNK_WORDS.
 _CHUNK_CELLS = 2**22
 # j-sets of T_j made in one numpy pass while building it: a multiple of 64,
@@ -101,13 +101,13 @@ def _colex_chunk(size: int, k: int, start: int, stop: int) -> np.ndarray:
 
 def _low_size(size: int, k: int) -> int:
     """j, the size of the low parts of the k-subsets of range(size): the
-    largest j <= k whose table T_j (``size + 1`` rows of comb(size, j) bits,
+    largest j <= k whose table T_j (``size`` rows of comb(size, j) bits,
     padded to words) fits in ``_CHUNK_CELLS`` bits, but at least 1 when k is.
     T_1 is the identity and is never stored (see :meth:`_Unit.planes`);
     with j = 0 every block would be one candidate alone in its word."""
 
     def fits(j: int) -> bool:
-        return j <= 1 or 64 * -(-comb(size, j) // 64) * (size + 1) <= _CHUNK_CELLS
+        return j <= 1 or 64 * -(-comb(size, j) // 64) * size <= _CHUNK_CELLS
 
     # comb(size, j) rises up to j = size / 2 and falls after it, so below k
     # the first j that does not fit bounds every one that does
@@ -122,13 +122,12 @@ def _block_sizes(size: int, j: int) -> np.ndarray:
 
 
 def _seed_planes(size: int, rows: np.ndarray) -> np.ndarray:
-    """Bit planes of a (count, k) index array, one candidate per row:
-    (size + 1, words) ``uint64``, bit m of row i set when row m names cell
-    i, written straight into words.  The padding bits stay zero, and so does
-    row ``size`` unless a row names it; the -1 entries of
-    ``neighbor_table`` read that row as a missing, healthy neighbour."""
+    """Bit planes of a (count, k) index array of cells in range(size), one
+    candidate per row: (size, words) ``uint64``, bit m of row i set when
+    row m names cell i, written straight into words.  The padding bits
+    stay zero."""
     words = -(-len(rows) // 64)
-    planes = np.zeros((size + 1, words), dtype=np.uint64)
+    planes = np.zeros((size, words), dtype=np.uint64)
     m = np.arange(len(rows))
     bits = np.left_shift(np.uint64(1), (m % 64).astype(np.uint64))
     for cells in rows.T:
@@ -139,15 +138,15 @@ def _seed_planes(size: int, rows: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def _low_table(size: int, j: int) -> np.ndarray:
-    """T_j as read-only (size + 1, words) ``uint64`` bit planes: bit m of row
+    """T_j as read-only (size, words) ``uint64`` bit planes: bit m of row
     i set when the j-subset of range(size) of colex rank m contains cell i.
-    Row ``size`` and the padding bits stay zero.
+    The padding bits stay zero.
 
     Colex order is prefix-stable: the j-subsets of range(c) are the first
     comb(c, j) of them, so every block of a search is a prefix of T_j.
     """
     total = comb(size, j)
-    planes = np.empty((size + 1, -(-total // 64)), dtype=np.uint64)
+    planes = np.empty((size, -(-total // 64)), dtype=np.uint64)
     # a slab of whole words at a time, so that no temporary grows with the table
     for first in range(0, total, _SLAB):
         stop = min(first + _SLAB, total)
@@ -169,7 +168,7 @@ def _units(size: int, k: int) -> Iterator[tuple[int, int, int, int, int]]:
     if k > size:
         return
     j = _low_size(size, k)
-    step = max(1, min(_CHUNK_WORDS, _CHUNK_CELLS // (64 * (size + 1))))
+    step = max(1, min(_CHUNK_WORDS, _CHUNK_CELLS // (64 * max(size, 1))))
     sizes, total = _block_sizes(size, j), comb(size - j, k - j)
     batch = max(1, _CHUNK_CELLS // (64 * max(k - j, 1)))  # top parts unranked at once
     begin, offset = (0, 0), 0
@@ -221,13 +220,11 @@ class _Unit:
         self.column = np.arange(len(self.block)) + np.repeat(self.lo // 64 - (np.cumsum(words) - words), words)
         self.valid = _LOW_BITS[np.clip(self.hi[self.block] - 64 * self.column, 0, 64)]
 
-    def planes(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Seed state of the unit's candidates: (size + 1, words) ``uint64``,
-        the block's words of T_j with its top cells' rows set, and every
-        padding bit clear (an empty set, which never changes).  Written
-        into ``out`` when given (every bit of it), else into a new array."""
-        if out is None:
-            out = np.empty((self.size + 1, len(self.column)), dtype=np.uint64)
+    def planes(self, out: np.ndarray) -> np.ndarray:
+        """Seed state of the unit's candidates, written into every bit of
+        ``out``, a (size, words) ``uint64`` array, and returned: the block's
+        words of T_j with its top cells' rows set, and every padding bit
+        clear (an empty set, which never changes)."""
         if self.j == 1:
             # T_1 is the identity: bit t of word w is cell 64 w + t
             out.fill(0)

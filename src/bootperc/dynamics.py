@@ -24,11 +24,12 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .lattice import Cell, LatticeSpec, cell_at, cell_index, coordinates, neighbor_rows, neighbors
+from .lattice import Cell, LatticeSpec, cell_at, cell_index, coordinates, face_codes, neighbor_rows, neighbors
 
 # Rows :func:`_write_list` formats per write: a few MB of text, so a record
 # or witness document is never held whole.
 _WRITE_ROWS = 1 << 16
+_BLOCK_CELLS = 1 << 14  # cells :func:`_perimeters` compares per numpy pass
 
 
 @dataclass(frozen=True)
@@ -194,12 +195,12 @@ class RunRecord:
     ``times_array[i]`` is the infection round of the cell with linear index
     ``i`` (0 for initially infected, -1 for never infected), in int32, which
     holds every round and -1 of a lattice of at most ``MAX_CELLS`` cells;
-    :func:`run`'s column is kept without a copy.  ``T`` is the last round
-    in which anything new got infected; a closed initial set, the empty set
-    included, has ``T = 0``.  ``audit_array`` is an int64 table with one row
-    ``(cell index, step, infected neighbours)`` per infection, in event
-    order.  The list views :attr:`times` and :attr:`audit` are built on
-    demand.
+    :func:`run`'s column, one entry per cell, is kept without a copy.  ``T``
+    is the last round in which anything new got infected; a closed initial
+    set, the empty set included, has ``T = 0``.  ``audit_array`` is an int64
+    table with one row ``(cell index, step, infected neighbours)`` per
+    infection after round 0, by step and then by cell index.  The list views
+    :attr:`times` and :attr:`audit` are built on demand.
     """
 
     spec: LatticeSpec
@@ -392,33 +393,25 @@ def run(
     Each round is one vectorised pass over the :func:`neighbor_rows` of the
     cells infected in the previous round: their healthy neighbours gain one
     infected-neighbour count each, and those whose count reaches ``r`` make
-    up the next frontier, in ascending index order.  The new cells' rows are
-    computed once, for the perimeter step and the next round.  The audit
-    counts are read from the same arrays.  Behaviour is identical to
-    :func:`run_naive`.
+    up the next frontier, in ascending index order.  The rounds compute only
+    the times and counts; the audit and :func:`_perimeters` read them after.
+    Behaviour is identical to :func:`run_naive`.
 
     Per cell the engine holds one uint8 count (no count exceeds 2d) and one
     int32 round; each frontier array is dropped after its last use.
     """
     _check_compatible(spec, initial, record_trace)
-    size, r, twod = spec.size, spec.r, 2 * spec.d
-    # times[size] is read through the rows' -1 entries: a missing neighbour
-    # looks infected at round 0, so it is never counted as healthy
-    times = np.full(size + 1, -1, dtype=np.int32)
-    times[size] = 0
+    size, r = spec.size, spec.r
+    times = np.full(size, -1, dtype=np.int32)
     seeds = _index_array(initial)
     times[seeds] = 0
     rows = neighbor_rows(spec, seeds)
     counts = np.zeros(size, dtype=np.uint8)
-    trace = [perimeter(spec, initial)] if record_trace else None
-    # each round's new cells and their counts; the step column is read from times
-    crossed_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    count_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    infected_count = len(seeds)
 
     t = 0
     while len(rows):
         hits = rows.ravel("K")  # the rows' memory order; no copy
+        # drops the grid's self entries too: every row's own cell is infected
         hits = hits[times[hits] < 0]
         del rows
         candidates, gained = np.unique(hits, return_counts=True)
@@ -429,31 +422,47 @@ def run(
             break
         t += 1
         times[crossed] = t
-        crossed_counts = counts[crossed]
         rows = neighbor_rows(spec, crossed)
-        if audit:
-            crossed_parts.append(crossed)
-            count_parts.append(crossed_counts)
-        if trace is not None:
-            # the new cells add 2d each, less both ends of every edge to an
-            # earlier cell (their counts) and to one another (inside)
-            inside = int(np.count_nonzero(times[rows] == t))
-            trace.append(trace[-1] + twod * len(crossed) - 2 * int(crossed_counts.sum()) - inside)
-        infected_count += len(crossed)
 
     events = None
     if audit:
-        cells = np.concatenate(crossed_parts)
-        events = np.column_stack((cells, times[cells], np.concatenate(count_parts)))
+        # by round, then by index; a count stops growing once its cell is
+        # infected, and numpy radix-sorts rounds in the smallest dtype of T
+        cells = np.flatnonzero(times > 0)
+        cells = cells[np.argsort(times[cells].astype(np.min_scalar_type(t)), kind="stable")]
+        events = np.column_stack((cells, times[cells], counts[cells]))
     return RunRecord(
         spec=spec,
         initial=initial,
-        times_array=times[:size],
+        times_array=times,
         T=t,
-        percolates=infected_count == size,
-        perimeter_trace=trace,
+        percolates=bool(times.min() >= 0),
+        perimeter_trace=_perimeters(spec, times, t) if record_trace else None,
         audit_array=events,
     )
+
+
+def _perimeters(spec: LatticeSpec, times: np.ndarray, T: int) -> list[int]:
+    """Perimeter of the infected set after each round 0..T of a grid, from
+    the infection rounds ``times`` (-1 for never infected).
+
+    A cell adds 2d in its round, and every edge with both ends infected
+    takes 2 back in the round of its later end.  Along axis a, of stride s,
+    cell i meets cell i + s (a slab of the index grid meets the next one)
+    unless i lies on the high face, face-code bit 2a + 1.  Blocks of at most
+    ``_BLOCK_CELLS`` cells bound the temporaries, also on [n]^1."""
+    d, n, size = spec.d, spec.n, len(times)
+    codes, change = face_codes(d, n), np.zeros(T + 1, dtype=np.int64)
+    for start in range(0, size, _BLOCK_CELLS):
+        block = times[start : start + _BLOCK_CELLS]
+        np.add.at(change, block[block >= 0], 2 * d)
+        for axis in range(d):
+            stride = n ** (d - 1 - axis)
+            u = block[: max(size - stride - start, 0)]
+            v = times[start + stride : start + stride + len(u)]
+            met = (np.minimum(u, v) >= 0) & ((codes[start : start + len(u)] & 2 << 2 * axis) == 0)
+            np.subtract.at(change, np.maximum(u, v)[met], 2)
+    return np.cumsum(change).tolist()
 
 
 def run_naive(
@@ -526,15 +535,9 @@ def closure(spec: LatticeSpec, initial: CellSet) -> CellSet:
 
 
 def perimeter(spec: LatticeSpec, cells: CellSet) -> int:
-    """Edge count between member cells and non-member Z^d vertices (grid only).
-
-    Every member pays 2d, less one for each entry of its :func:`neighbor_rows`
-    that is a member; a missing grid neighbour (-1) is never a member.
-    """
+    """Edge count between member cells and non-member Z^d vertices (grid only):
+    round 0 of :func:`_perimeters` with the members infected at round 0."""
     if spec.topology != "grid":
         raise ValueError("perimeter is defined for the grid topology only")
     _check_compatible(spec, cells)
-    is_member = np.append(cells._mask(), False)  # the -1 entries read the last slot
-    members = np.flatnonzero(is_member)
-    inside = int(np.count_nonzero(is_member[neighbor_rows(spec, members)]))
-    return 2 * spec.d * len(members) - inside
+    return _perimeters(spec, cells._mask().astype(np.int8) - 1, 0)[0]

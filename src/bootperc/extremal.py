@@ -105,9 +105,9 @@ def _rounds(spec: LatticeSpec, planes: np.ndarray) -> Iterator[np.ndarray]:
     dropped) before the next one starts; every round writes them before it
     reads them.
     """
-    size, r = spec.size, spec.r
+    r = spec.r
     columns = neighbor_table(spec).T
-    work = _kept(r + 3, size, planes.shape[1])
+    work = _kept(r + 3, *planes.shape)
     # at[c]: cells with at least c+1 infected neighbours among the columns
     # seen so far (a bit-sliced saturating counter)
     at, p, both, grown = work[:r], work[r], work[r + 1], work[r + 2]
@@ -115,8 +115,8 @@ def _rounds(spec: LatticeSpec, planes: np.ndarray) -> Iterator[np.ndarray]:
         yield planes
         for i, column in enumerate(columns):
             levels = min(i, r)
-            # -1 wraps to row ``size``: a missing, healthy neighbour
-            np.take(planes, column, axis=0, out=p if levels else at[0], mode="wrap")
+            # self entries read a grid cell's own bit, 0 while healthy; "clip" is unbuffered
+            np.take(planes, column, axis=0, out=p if levels else at[0], mode="clip")
             if 0 < levels < r:
                 np.bitwise_and(at[levels - 1], p, out=at[levels])
             for c in range(levels - 1, 0, -1):
@@ -124,16 +124,16 @@ def _rounds(spec: LatticeSpec, planes: np.ndarray) -> Iterator[np.ndarray]:
                 at[c] |= both
             if levels:
                 at[0] |= p
-        np.bitwise_or(planes[:size], at[r - 1], out=grown)
-        if np.array_equal(grown, planes[:size]):
+        np.bitwise_or(planes, at[r - 1], out=grown)
+        if np.array_equal(grown, planes):
             return
-        planes[:size] = grown
+        planes[...] = grown
 
 
 def _every(planes: np.ndarray) -> np.ndarray:
     """One word per word of the planes: the bits of candidates whose every
     cell is infected."""
-    return np.bitwise_and.reduce(planes[:-1], axis=0)
+    return np.bitwise_and.reduce(planes, axis=0)
 
 
 def _bits(words: np.ndarray) -> np.ndarray:
@@ -247,7 +247,7 @@ def _canonical_flags(spec: LatticeSpec, *bounds: int) -> np.ndarray:
     maps) this took a search from 18 to 3 s.
     """
     unit = _Unit(spec.size, *bounds)
-    own, alive = unit.planes(_kept(spec.size + 1, len(unit.valid)))[: spec.size], unit.valid.copy()
+    own, alive = unit.planes(_kept(spec.size, len(unit.valid))), unit.valid.copy()
     where = np.arange(64 * len(alive))  # position in the unit of each bit held
     for done, g in enumerate(islice(_symmetries(spec), 1, None)):  # all but the identity
         if done % _COMPACT_EVERY == 0:
@@ -368,7 +368,7 @@ def _size_chunk(spec: LatticeSpec, *bounds: int) -> tuple[tuple[int, ...] | None
     percolates).
     """
     unit = _Unit(spec.size, *bounds)
-    for planes in _rounds(spec, unit.planes(_kept(spec.size + 1, len(unit.valid)))):
+    for planes in _rounds(spec, unit.planes(_kept(spec.size, len(unit.valid)))):
         pass
     return unit.first(_every(planes))
 
@@ -440,7 +440,7 @@ def _time_chunk(
     length); time and achiever are None when no candidate beats ``limit``.
     """
     unit = _Unit(spec.size, *bounds)
-    for t, planes in enumerate(_rounds(spec, unit.planes(_kept(spec.size + 1, len(unit.valid))))):
+    for t, planes in enumerate(_rounds(spec, unit.planes(_kept(spec.size, len(unit.valid))))):
         if limit is not None and t >= limit:
             break
         hit, position = unit.first(_every(planes))

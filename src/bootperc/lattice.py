@@ -30,8 +30,8 @@ Cell = tuple[int, ...]
 Topology = Literal["grid", "torus"]
 
 # Hard ceiling on addressable cells; anything above is rejected outright.
-# Every index, every round and the -1 marker of a lattice this size fit in
-# int32, the one dtype of the per-cell indices and rounds the toolkit keeps.
+# Every index, every round and the -1 of a never-infected cell fit in int32,
+# the one dtype of the per-cell indices and rounds the toolkit keeps.
 MAX_CELLS = 2**31
 
 # Entries kept by each per-lattice cache.  Callers work on one lattice at a
@@ -163,7 +163,7 @@ def levels(d: int, n: int) -> np.ndarray:
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def _columns(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(2d, 1) arrays, one entry per neighbour column: its face bit, its
-    index step, and the torus's correction on that face.
+    index step, and the torus's correction on that face (the grid has none).
 
     Column 2a steps by minus the stride n**(d-1-a) of axis a and column 2a+1
     by plus it.  Bit j of a face code marks the face that column j steps
@@ -198,21 +198,21 @@ def neighbor_rows(spec: LatticeSpec, cells: np.ndarray) -> np.ndarray:
 
     Column order matches :func:`neighbors`: (dim1-, dim1+, dim2-, dim2+, ...).
     An entry is the cell's index plus the column's step, except on the
-    faces marked in the cell's :func:`face_codes`: there it is -1 on the
-    grid and the opposite face's cell on the torus.  The result is the
-    transpose of a C-ordered (2d, len(cells)) array, so each numpy call
-    runs along the cells, not along a row of 2d entries.
+    faces marked in the cell's :func:`face_codes`: there it is the cell
+    itself on the grid (putmask repeats ``cells`` down the columns) and the
+    opposite face's cell on the torus.  The result is the transpose of a C-ordered
+    (2d, len(cells)) array, so each numpy call runs along the cells, not a row.
     """
     bits, step, wrap = _columns(spec.d, spec.n)
     columns = step + cells
     on_face = bits & face_codes(spec.d, spec.n)[cells]
-    np.putmask(columns, on_face, columns + wrap if spec.topology == "torus" else -1)
+    np.putmask(columns, on_face, columns + wrap if spec.topology == "torus" else cells)
     return columns.T
 
 
 @lru_cache(maxsize=1)
 def neighbor_table(spec: LatticeSpec) -> np.ndarray:
-    """(size, 2d) :func:`neighbor_rows` of every cell, in int32.
+    """(size, 2d) :func:`neighbor_rows` of every cell, in int32, with no -1.
 
     int32 (every index of :data:`MAX_CELLS` cells fits) halves the bytes of
     int64 for the search kernel, which reads whole columns; each column is
@@ -224,13 +224,13 @@ def neighbor_table(spec: LatticeSpec) -> np.ndarray:
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def neighbor_lists(spec: LatticeSpec) -> list[list[int]]:
-    """Per-cell neighbour index lists (shared, do not mutate).
+    """Per-cell neighbour index lists (shared, do not mutate): table rows less self entries.
 
     Kept only for :func:`neighbor_masks` and the benchmark's layer probes;
     the engines read :func:`neighbor_rows`, :func:`neighbor_table` or
     :func:`neighbors`.
     """
-    return [[x for x in row if x >= 0] for row in neighbor_table(spec).tolist()]
+    return [[x for x in row if x != i] for i, row in enumerate(neighbor_table(spec).tolist())]
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)

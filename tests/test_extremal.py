@@ -73,20 +73,18 @@ def _indices(u):
 def _unit_rows(size, unit):
     """A work unit's candidates read off its seed planes (the valid bits'
     columns) as a (count, k) index array; checks that they equal the unit's
-    index rows, that the padding bits are clear, that every bit of an
-    ``out`` array is written, and that without one each call returns a new
-    array."""
+    index rows, that the padding bits are clear, and that every bit of the
+    ``out`` array is written."""
     k = unit[0]
     u = _Unit(size, *unit)
-    assert len(u.valid) <= max(1, min(colex._CHUNK_WORDS, colex._CHUNK_CELLS // (64 * (size + 1))))
-    planes = u.planes()
+    assert len(u.valid) <= max(1, min(colex._CHUNK_WORDS, colex._CHUNK_CELLS // (64 * max(size, 1))))
+    planes = u.planes(np.zeros((size, len(u.valid)), dtype=np.uint64))
     assert not (planes & ~u.valid).any()
     out = np.full_like(planes, ~np.uint64(0))
     assert u.planes(out) is out and np.array_equal(out, planes)
-    assert not np.shares_memory(u.planes(), planes)
     valid = np.unpackbits(u.valid.view(np.uint8), bitorder="little").astype(bool)
     cells = np.unpackbits(planes.view(np.uint8), axis=1, bitorder="little")[:, valid]
-    assert (cells[:size].sum(axis=0) == k).all() and not cells[size].any()
+    assert (cells.sum(axis=0) == k).all()
     rows = np.nonzero(cells.T)[1].reshape(u.count, k)
     assert rows.tolist() == _indices(u).tolist()
     return rows
@@ -113,15 +111,15 @@ def test_colex_chunks_concatenate_to_colex_order(monkeypatch, words):
 
 
 def test_low_size_and_table_bounds():
-    # j < k, j = k (the whole table fits), and j = 1 past 2047 cells, where
+    # j < k, j = k (the whole table fits), and j = 1 past 2048 cells, where
     # even T_1 would not fit but needs no table
     assert [_low_size(27, k) for k in (0, 3, 5, 9, 25)] == [0, 3, 5, 5, 25]
     assert (_low_size(36, 6), _low_size(1300, 2), _low_size(1200, 1199)) == (4, 1, 1199)
-    assert (_low_size(2048, 2), _low_size(40000, 1), _low_size(40000, 0)) == (1, 1, 0)
+    assert (_low_size(2049, 2), _low_size(40000, 1), _low_size(40000, 0)) == (1, 1, 0)
     assert _low_table.cache_info().maxsize is not None
     for size, j in [(27, 5), (36, 4), (1300, 1)]:
         planes, rows = _low_table(size, j), np.array(list(colex_combinations(size, j)))
-        assert planes.shape == (size + 1, -(-comb(size, j) // 64))
+        assert planes.shape == (size, -(-comb(size, j) // 64))
         assert 64 * planes.size <= colex._CHUNK_CELLS
         assert _colex_chunk(size, j, 0, len(rows)).tolist() == rows.tolist()
         bits = np.unpackbits(planes.view(np.uint8), axis=1, bitorder="little")
@@ -131,7 +129,7 @@ def test_low_size_and_table_bounds():
 def _scattered_planes(size, rows):
     """Reference for ``_seed_planes``: a bool grid set one cell of one
     candidate at a time, packed into words."""
-    grid = np.zeros((size + 1, 64 * -(-len(rows) // 64)), dtype=bool)
+    grid = np.zeros((size, 64 * -(-len(rows) // 64)), dtype=bool)
     for m, row in enumerate(rows.tolist()):
         grid[row, m] = True
     return np.packbits(grid, axis=1, bitorder="little").view("<u8")
@@ -140,26 +138,26 @@ def _scattered_planes(size, rows):
 @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 4097])
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
 def test_seed_planes_match_a_bool_scatter(count, dtype):
-    # rows of any cells up to ``size`` included: column 3 repeats column 2
-    # in every other row, column 4 is cell 7 in every candidate of every
-    # word, and row 0 names cell ``size``
+    # rows of any cells of the lattice: column 3 repeats column 2 in every
+    # other row, column 4 is cell 7 in every candidate of every word, and
+    # row 0 names the last cell, ``size - 1``
     size, rng = 90, np.random.default_rng(count)
-    rows = rng.integers(0, size + 1, size=(count, 5)).astype(dtype)
+    rows = rng.integers(0, size, size=(count, 5)).astype(dtype)
     rows[::2, 3] = rows[::2, 2]
     rows[:, 4] = 7
-    rows[:1, 0] = size
+    rows[:1, 0] = size - 1
     for width in (5, 1, 0):
         planes = _seed_planes(size, rows[:, :width])
-        assert planes.dtype == np.uint64 and planes.shape == (size + 1, -(-count // 64))
+        assert planes.dtype == np.uint64 and planes.shape == (size, -(-count // 64))
         assert np.array_equal(planes, _scattered_planes(size, rows[:, :width]))
 
 
 def test_colex_chunks_on_large_lattices(monkeypatch):
-    # past 127 cells a unit spans fewer words than _CHUNK_WORDS; the order
+    # past 128 cells a unit spans fewer words than _CHUNK_WORDS; the order
     # stays exact
     units = list(_units(1300, 2))
     parts = [_Unit(1300, *unit) for unit in units]
-    assert max(len(part.valid) for part in parts) == colex._CHUNK_CELLS // (64 * 1301) < colex._CHUNK_WORDS
+    assert max(len(part.valid) for part in parts) == colex._CHUNK_CELLS // (64 * 1300) < colex._CHUNK_WORDS
     rows = np.vstack([_indices(part) for part in parts])
     assert rows.tolist() == [list(c) for c in colex_combinations(1300, 2)]
     # the planes of the first and the last unit hold the same rows
@@ -206,7 +204,7 @@ def _batch_closures_and_times(spec, chunk):
     cell infected (None if never), both read off the batch kernel."""
     times = [None] * len(chunk)
     for t, planes in enumerate(_rounds(spec, _seed_planes(spec.size, chunk))):
-        cells = np.unpackbits(planes[:-1].view(np.uint8), axis=1, bitorder="little")
+        cells = np.unpackbits(planes.view(np.uint8), axis=1, bitorder="little")
         for c in np.flatnonzero(cells[:, : len(chunk)].all(axis=0)):
             if times[c] is None:
                 times[c] = t
@@ -295,7 +293,7 @@ def _percolating_count(spec, k):
     total = found = 0
     for unit in _units(spec.size, k):
         u = _Unit(spec.size, *unit)
-        for planes in _rounds(spec, u.planes()):
+        for planes in _rounds(spec, u.planes(np.empty((spec.size, len(u.valid)), dtype=np.uint64))):
             assert not (planes & ~u.valid).any()
         total += u.count
         found += int(np.unpackbits(_every(planes).view(np.uint8)).sum())

@@ -173,9 +173,10 @@ def _table_specs():
 @pytest.mark.parametrize("spec", list(_table_specs()), ids=str)
 def test_neighbor_table_rows_match_neighbors(spec):
     # neighbors() omits missing grid neighbours; the table keeps their
-    # column and writes -1 there
+    # column and names the cell itself there
     table = neighbor_table(spec)
     assert table.shape == (spec.size, 2 * spec.d)
+    assert table.min() >= 0
     for i, row in enumerate(table.tolist()):
         cell = index_to_cell(i, spec)
         listed = iter(neighbors(cell, spec))
@@ -183,7 +184,7 @@ def test_neighbor_table_rows_match_neighbors(spec):
         for j in range(spec.d):
             for edge in (1, spec.n):
                 missing = spec.topology == "grid" and cell[j] == edge
-                expected.append(-1 if missing else cell_to_index(next(listed, None), spec))
+                expected.append(i if missing else cell_to_index(next(listed, None), spec))
         assert next(listed, None) is None
         assert row == expected
 
@@ -201,8 +202,8 @@ def test_lattices_are_capped_at_2_31_cells_so_int32_holds_every_index():
 
 def _slice_table(spec):
     """The neighbour table built by slice copies of the index grid shifted
-    one step along each axis; the edge slice left over is -1 on the grid
-    and the opposite face on the torus."""
+    one step along each axis; the edge slice left over is the face itself
+    on the grid and the opposite face on the torus."""
     n, d = spec.n, spec.d
     grid = np.arange(spec.size).reshape((n,) * d)
     table = np.empty((n,) * d + (2 * d,), dtype=np.int64)
@@ -213,8 +214,8 @@ def _slice_table(spec):
         plus = np.moveaxis(table[..., 2 * axis + 1], axis, 0)
         minus[1:] = along[:-1]
         plus[:-1] = along[1:]
-        minus[0] = along[-1] if torus else -1
-        plus[-1] = along[0] if torus else -1
+        minus[0] = along[-1] if torus else along[0]
+        plus[-1] = along[0] if torus else along[-1]
     return table.reshape(spec.size, 2 * d)
 
 
@@ -231,11 +232,11 @@ def test_neighbor_rows_match_neighbors_and_the_slice_table(spec):
     reference = _slice_table(spec)
     rows = neighbor_rows(spec, np.arange(spec.size))
     assert rows.dtype == np.intp
-    assert np.array_equal(rows, reference)
+    assert np.array_equal(rows, reference) and rows.min() >= 0
     assert np.array_equal(neighbor_table(spec), reference)
     for i, row in enumerate(rows.tolist()):
         present = [cell_to_index(v, spec) for v in neighbors(index_to_cell(i, spec), spec)]
-        assert [x for x in row if x >= 0] == present
+        assert [x for x in row if x != i] == present
     # any index array, in any order and with repeats
     cells = np.random.default_rng(spec.size).integers(0, spec.size, 2 * spec.size)
     assert np.array_equal(neighbor_rows(spec, cells), reference[cells])
