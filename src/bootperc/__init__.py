@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "colex": ("colex_combinations",),
     "constructions": ("CONSTRUCTIONS", "boundary", "build_construction", "diagonal", "hyperplane_union",
-                      "level_set", "named_set", "shifted_union", "torus3_seed"),
+                      "level_set", "shifted_union", "torus3_seed"),
     "dynamics": ("AuditEvent", "CellSet", "RunRecord", "closure", "perimeter", "run", "run_naive",
                  "write_record_json"),
     "experiments": ("SeparationReport", "SweepRow", "SweepTable", "sweep_time", "verify_separation",

@@ -14,8 +14,7 @@ import numpy as np
 from .dynamics import CellSet
 from .lattice import face_codes, levels
 
-NAMED_SETS = ("diagonal2d", "boundary", "torus3")
-CONSTRUCTIONS = ("hyperplanes", "shifted") + NAMED_SETS
+CONSTRUCTIONS = ("hyperplanes", "shifted", "diagonal2d", "boundary", "torus3")
 
 
 def level_set(d: int, n: int, k: int) -> CellSet:
@@ -69,29 +68,20 @@ def torus3_seed(n: int) -> CellSet:
     return CellSet._from_mask(3, n, seed.ravel())
 
 
-def named_set(name: str, n: int, d: int | None = None) -> CellSet:
-    """Build one of the named sets: ``diagonal2d``, ``boundary``, ``torus3``."""
-    if name == "diagonal2d":
-        if d not in (None, 2):
-            raise ValueError("diagonal2d requires d = 2")
-        return diagonal(n)
-    if name == "boundary":
-        if d is None:
-            raise ValueError("boundary requires an explicit dimension d")
-        return boundary(d, n)
-    if name == "torus3":
-        if d not in (None, 3):
-            raise ValueError("torus3 requires d = 3")
-        return torus3_seed(n)
-    raise ValueError(f"unknown named set {name!r} (choose from {NAMED_SETS})")
-
-
 def build_construction(name: str, d: int, n: int) -> CellSet:
     """Uniform entry point used by the CLI and the sweep harness."""
     if name == "hyperplanes":
         return hyperplane_union(d, n)
     if name == "shifted":
         return shifted_union(d, n)
-    if name in NAMED_SETS:
-        return named_set(name, n, d)
+    if name == "diagonal2d":
+        if d != 2:
+            raise ValueError("diagonal2d requires d = 2")
+        return diagonal(n)
+    if name == "boundary":
+        return boundary(d, n)
+    if name == "torus3":
+        if d != 3:
+            raise ValueError("torus3 requires d = 3")
+        return torus3_seed(n)
     raise ValueError(f"unknown construction {name!r} (choose from {CONSTRUCTIONS})")

@@ -26,8 +26,8 @@ import numpy as np
 
 from .lattice import Cell, LatticeSpec, cell_at, cell_index, coordinates, face_codes, neighbor_rows, neighbors
 
-# Rows :func:`_write_list` formats per write: a few MB of text, so a record
-# or witness document is never held whole.
+# Table rows :func:`_write_document` fills per write: a few MB of text, so a
+# record or witness document is never held whole.
 _WRITE_ROWS = 1 << 16
 _BLOCK_CELLS = 1 << 14  # cells :func:`_perimeters` compares per numpy pass
 
@@ -280,52 +280,61 @@ class RunRecord:
 def write_record_json(record: RunRecord, out: TextIO) -> None:
     """Write ``json.dumps(record.to_json_dict(), indent=2)`` to ``out``, from the columns.
 
-    Scalars go through :func:`json.dumps`.  Every list is filled into the
-    indent-2 layout from its int columns by :func:`_fill`, one template per
-    row, a block of rows at a time, so no per-element Python objects are
-    encoded and the document is never held whole.
+    The document is built key for key like :meth:`RunRecord.to_json_dict`,
+    each list as an int table with its item shape, and written by
+    :func:`_write_document`, so no per-element Python objects are encoded
+    and the document is never held whole.
     """
     spec, d = record.spec, record.spec.d
-    coord = ",\n      ".join(["%d"] * d)
-    out.write(
-        f'{{\n  "d": {d},\n  "n": {spec.n},\n  "topology": {json.dumps(spec.topology)},\n'
-        f'  "r": {spec.r},\n  "initial": '
-    )
-    _write_list(out, f"[\n      {coord}\n    ]", coordinates(_index_array(record.initial), d, spec.n))
-    out.write(f',\n  "T": {record.T},\n  "percolates": {json.dumps(record.percolates)},\n  "times": ')
-    _write_list(out, "%d", record.times_array)
+    doc = {
+        "d": d,
+        "n": spec.n,
+        "topology": spec.topology,
+        "r": spec.r,
+        "initial": (["%d"] * d, coordinates(_index_array(record.initial), d, spec.n)),
+        "T": record.T,
+        "percolates": record.percolates,
+        "times": ("%d", record.times_array),
+    }
     if record.perimeter_trace is not None:
-        out.write(',\n  "perimeter_trace": ')
-        _write_list(out, "%d", np.array(record.perimeter_trace, dtype=np.int64))
+        doc["perimeter_trace"] = ("%d", np.array(record.perimeter_trace, dtype=np.int64))
     if record.audit_array is not None:
         events = record.audit_array
-        cell = ",\n        ".join(["%d"] * d)
-        out.write(',\n  "audit": ')
-        _write_list(
-            out,
-            f'{{\n      "cell": [\n        {cell}\n      ],\n      "step": %d,\n      "infected_neighbors": %d\n    }}',
+        doc["audit"] = (
+            {"cell": ["%d"] * d, "step": "%d", "infected_neighbors": "%d"},
             np.column_stack((coordinates(events[:, 0], d, spec.n), events[:, 1:])),
         )
-    out.write("\n}")
+    _write_document(out, doc)
 
 
-def _write_list(
-    out: TextIO, template: str | tuple[str, ...], rows: np.ndarray, kinds: np.ndarray | None = None
-) -> None:
-    """Write a top-level indent-2 list, one template per row of an int table; ``[]`` if empty.
+def _write_document(out: TextIO, doc: dict) -> None:
+    """Write ``json.dumps(doc, indent=2)`` to ``out``, where a value may be an int table.
 
-    ``template`` and ``kinds`` are as in :func:`_fill`.
+    A JSON scalar goes through :func:`json.dumps`.  A table ``(shape,
+    rows)`` lists one ``shape`` per row of the int array ``rows``, whose
+    columns fill the shape's ``"%d"`` strings in order (``[]`` if empty);
+    with ``(shapes, rows, kinds)`` row i takes ``shapes[kinds[i]]``.  Each
+    shape's ``json.dumps(shape, indent=2)``, unquoted and indented, is a
+    :func:`_fill` template, filled ``_WRITE_ROWS`` rows at a time.
     """
-    if not len(rows):
-        out.write("[]")
-        return
-    out.write("[\n    ")
-    for start in range(0, len(rows), _WRITE_ROWS):
-        if start:
-            out.write(",\n    ")
-        block = slice(start, start + _WRITE_ROWS)
-        out.write(_fill(template, ",\n    ", rows[block], 0 if kinds is None else kinds[block]))
-    out.write("\n  ]")
+    out.write("{")
+    for i, (key, value) in enumerate(doc.items()):
+        out.write(f'{"," if i else ""}\n  {json.dumps(key)}: ')
+        if not isinstance(value, tuple):
+            out.write(json.dumps(value))
+            continue
+        shape, rows, *kinds = value
+        templates = tuple(
+            json.dumps(item, indent=2).replace('"%d"', "%d").replace("\n", "\n    ")
+            for item in (shape if kinds else (shape,))
+        )
+        out.write("[")
+        for start in range(0, len(rows), _WRITE_ROWS):
+            block = slice(start, start + _WRITE_ROWS)
+            out.write(",\n    " if start else "\n    ")
+            out.write(_fill(templates, ",\n    ", rows[block], kinds[0][block] if kinds else 0))
+        out.write("\n  ]" if len(rows) else "]")
+    out.write("\n}")
 
 
 def _fill(template: str | tuple[str, ...], sep: str, rows: np.ndarray, kinds: np.ndarray | int = 0) -> str:

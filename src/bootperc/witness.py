@@ -29,7 +29,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .dynamics import _write_list
+from .dynamics import _write_document
 from .lattice import Cell, check_cell, iter_level_cells
 
 
@@ -181,19 +181,15 @@ class WitnessDag:
 
 
 def write_witness_json(dag: WitnessDag, out: TextIO) -> None:
-    """Write ``json.dumps(dag.to_json_dict(), indent=2)`` to ``out``, one template per node.
+    """Write ``json.dumps(dag.to_json_dict(), indent=2)`` to ``out``, one item shape per node.
 
-    Every node is a row of one int table: its label, its offset and the
-    coordinates of its d children (zeros for a leaf, which its template
-    ignores).  Leaves and internal nodes differ only in ``"children"``, so
-    two templates cover every node.
+    The document is built key for key like :meth:`WitnessDag.to_json_dict`
+    and written by :func:`_write_document`.  Every node is a row of one int
+    table: its label, its offset and the coordinates of its d children
+    (zeros for a leaf, whose shape ignores them).  Leaves and internal nodes
+    differ only in ``"children"``, so two shapes cover every node.
     """
     d = dag.ctx.d
-    label = ",\n        ".join(["%d"] * d)
-    head = f'{{\n      "label": [\n        {label}\n      ],\n      "t": %d,\n      "children": '
-    child = ",\n          ".join(["%d"] * d)
-    children = ",\n        ".join([f"[\n          {child}\n        ]"] * d)
-    templates = (head + "null\n    }", head + f"[\n        {children}\n      ]\n    }}")
     nodes = dag.nodes.values()
     no_children = ((0,) * d,) * d
     rows = np.column_stack((
@@ -202,13 +198,16 @@ def write_witness_json(dag: WitnessDag, out: TextIO) -> None:
         np.array([node.children or no_children for node in nodes], dtype=np.int64).reshape(-1, d * d),
     ))
     kinds = np.array([node.children is not None for node in nodes], dtype=np.int64)
-    out.write('{\n  "root": ')
-    _write_list(out, "%d", np.array(dag.root, dtype=np.int64))
-    out.write(
-        f',\n  "s": {dag.ctx.s},\n  "n": {dag.ctx.n},\n  "d": {d},\n  "depth": {dag.depth},\n  "nodes": '
-    )
-    _write_list(out, templates, rows, kinds)
-    out.write("\n}")
+    label = ["%d"] * d
+    leaf = {"label": label, "t": "%d", "children": None}
+    _write_document(out, {
+        "root": ("%d", np.array(dag.root, dtype=np.int64)),
+        "s": dag.ctx.s,
+        "n": dag.ctx.n,
+        "d": d,
+        "depth": dag.depth,
+        "nodes": ((leaf, {**leaf, "children": [label] * d}), rows, kinds),
+    })
 
 
 def _walk(nodes: dict[Cell, WitnessNode], root: Cell) -> tuple[list[Cell] | None, dict[Cell, int]]:

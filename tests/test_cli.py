@@ -151,7 +151,7 @@ def test_cli_import_starts_no_blas_thread():
     assert threads_and_setting()[1] == "2"
 
 
-# the 50 public names of the package, as listed before they resolved lazily
+# the 49 public names of the package
 PUBLIC_NAMES = {
     "AuditEvent", "BudgetExceededError", "CONSTRUCTIONS", "Cell", "CellSet", "LatticeSpec",
     "NoPercolatingSetError", "RunRecord", "SearchResult", "SeparationReport", "StripContext",
@@ -159,7 +159,7 @@ PUBLIC_NAMES = {
     "boundary", "build_construction", "build_witness", "cell_to_index", "closure",
     "colex_combinations", "coordinate_sum_above", "diagonal", "hyperplane_union", "index_to_cell",
     "infectors", "is_minimal", "iter_level_cells", "iter_strip_cells", "level_of", "level_offset",
-    "level_set", "max_depth_bound", "min_percolating_size", "min_percolation_time", "named_set",
+    "level_set", "max_depth_bound", "min_percolating_size", "min_percolation_time",
     "neighbors", "perimeter", "run", "run_naive", "shifted_union", "squared_coordinate_sum",
     "sweep_time", "torus3_seed", "verify_separation", "verify_strip_fill", "write_record_json",
     "write_witness_json",
@@ -167,7 +167,7 @@ PUBLIC_NAMES = {
 
 
 def test_package_namespace_resolves_every_public_name():
-    assert len(bootperc.__all__) == len(PUBLIC_NAMES) == 50
+    assert len(bootperc.__all__) == len(PUBLIC_NAMES) == 49
     assert set(bootperc.__all__) == PUBLIC_NAMES
     for name in bootperc.__all__:
         home = importlib.import_module(f"bootperc.{bootperc._HOME[name]}")

@@ -6,7 +6,6 @@ from bootperc.constructions import (
     diagonal,
     hyperplane_union,
     level_set,
-    named_set,
     shifted_union,
     torus3_seed,
 )
@@ -119,19 +118,17 @@ def test_torus3_extra_seed_placement():
 
 
 def test_named_set_dispatch_and_errors():
-    assert named_set("diagonal2d", 3).cells() == diagonal(3).cells()
-    assert named_set("boundary", 4, d=3) == boundary(3, 4)
-    assert named_set("torus3", 4) == torus3_seed(4)
+    assert build_construction("diagonal2d", 2, 3).cells() == diagonal(3).cells()
+    assert build_construction("boundary", 3, 4) == boundary(3, 4)
+    assert build_construction("torus3", 3, 4) == torus3_seed(4)
+    with pytest.raises(ValueError, match="^diagonal2d requires d = 2$"):
+        build_construction("diagonal2d", 3, 3)
     with pytest.raises(ValueError):
-        named_set("diagonal2d", 3, d=3)
-    with pytest.raises(ValueError):
-        named_set("boundary", 4)  # d is required
-    with pytest.raises(ValueError):
-        named_set("torus3", 2)
+        build_construction("torus3", 3, 2)
     with pytest.raises(ValueError, match="^torus3 requires d = 3$"):
-        named_set("torus3", 4, d=2)
+        build_construction("torus3", 2, 4)
     with pytest.raises(ValueError):
-        named_set("klein", 4, d=2)
+        build_construction("klein", 2, 4)
 
 
 def test_build_construction_covers_all_names():

@@ -1,9 +1,10 @@
+import io
 import json
 import re
 
 import pytest
 
-from bootperc import witness
+from bootperc import dynamics, witness
 from bootperc.constructions import level_set
 from bootperc.dynamics import run
 from bootperc.lattice import LatticeSpec
@@ -257,6 +258,22 @@ def test_witness_json_and_edge_list():
     lines = dag.to_edge_list().splitlines()
     assert "4,2,2 -> 3,2,2" in lines
     assert len(lines) == sum(1 for _ in dag.edges())
+
+
+@pytest.mark.parametrize(
+    "v, ctx",
+    [((4, 4, 3), StripContext(3, 6, 2)), ((2,), StripContext(1, 4, 1)), ((15, 15, 10, 9), StripContext(4, 20, 3))],
+)
+def test_witness_writer_splits_nodes_into_blocks(monkeypatch, v, ctx):
+    # leaves and internal nodes both, so each block slices the per-node shape choice
+    dag = build_witness(v, ctx)
+    assert dag.leaf_labels() and dag.internal_labels()
+    expected = json.dumps(dag.to_json_dict(), indent=2)
+    for rows in (1, 2, 5):
+        monkeypatch.setattr(dynamics, "_WRITE_ROWS", rows)
+        out = io.StringIO()
+        witness.write_witness_json(dag, out)
+        assert out.getvalue() == expected
 
 
 def test_cycle_error_is_a_runtime_error():
