@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 domain negative (a check came back false, or
 --expect-percolates was not met), 2 usage or input error, 3 resource budget
-exceeded or out of memory.  The environment variable BOOTPERC_BUDGET
-overrides the default search budget when --budget is not given.
+exceeded or out of memory, 141 stdout closed by its reader (a broken pipe).
+The environment variable BOOTPERC_BUDGET overrides the default search budget
+when --budget is not given.
 """
 
 from __future__ import annotations
@@ -334,6 +335,13 @@ def main(argv: list[str] | None = None) -> int:
     except NoPercolatingSetError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader of stdout has gone (`| head`).  stdout's descriptor now
+        # leads to os.devnull, so the interpreter's final flush of what is
+        # left writes nowhere and prints nothing, and the code is the one a
+        # shell reports for a process that SIGPIPE ended
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

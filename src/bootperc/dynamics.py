@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
+from . import lattice
 from .lattice import Cell, LatticeSpec, cell_at, cell_index, coordinates, face_codes, neighbor_rows, neighbors
 
 # Table rows :func:`_write_document` fills per write: a few MB of text, so a
@@ -399,40 +400,12 @@ def run(
 ) -> RunRecord:
     """Run the process to stabilisation with the frontier engine.
 
-    Each round is one vectorised pass over the :func:`neighbor_rows` of the
-    cells infected in the previous round: their healthy neighbours gain one
-    infected-neighbour count each, and those whose count reaches ``r`` make
-    up the next frontier, in ascending index order.  The rounds compute only
-    the times and counts; the audit and :func:`_perimeters` read them after.
-    Behaviour is identical to :func:`run_naive`.
-
-    Per cell the engine holds one uint8 count (no count exceeds 2d) and one
-    int32 round; each frontier array is dropped after its last use.
+    :func:`_infect` computes the times and counts; the audit and
+    :func:`_perimeters` read them after.  Behaviour is identical to
+    :func:`run_naive`.
     """
     _check_compatible(spec, initial, record_trace)
-    size, r = spec.size, spec.r
-    times = np.full(size, -1, dtype=np.int32)
-    seeds = _index_array(initial)
-    times[seeds] = 0
-    rows = neighbor_rows(spec, seeds)
-    counts = np.zeros(size, dtype=np.uint8)
-
-    t = 0
-    while len(rows):
-        hits = rows.ravel("K")  # the rows' memory order; no copy
-        # drops the grid's self entries too: every row's own cell is infected
-        hits = hits[times[hits] < 0]
-        del rows
-        candidates, gained = np.unique(hits, return_counts=True)
-        del hits
-        counts[candidates] += gained.astype(np.uint8)
-        crossed = candidates[counts[candidates] >= r]
-        if not len(crossed):
-            break
-        t += 1
-        times[crossed] = t
-        rows = neighbor_rows(spec, crossed)
-
+    times, counts, t = _infect(spec, _index_array(initial))
     events = None
     if audit:
         # by round, then by index; a count stops growing once its cell is
@@ -449,6 +422,58 @@ def run(
         perimeter_trace=_perimeters(spec, times, t) if record_trace else None,
         audit_array=events,
     )
+
+
+def _infect(
+    spec: LatticeSpec, seeds: np.ndarray, codes: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Infection rounds, infected-neighbour counts and last round T of the
+    run from the cells at the indices ``seeds``.
+
+    Each round is one vectorised pass over the :func:`neighbor_rows` of the
+    cells infected in the previous round: their healthy neighbours gain one
+    count each, and those whose count reaches ``r`` make up the next
+    frontier, in ascending index order.  The per-cell ``codes`` default to
+    the lattice's face codes; a box of stacked lattices (see
+    :func:`neighbor_rows`) runs them all in one loop, and its cells that no
+    row reaches keep round -1 and count 0.
+
+    Per cell the engine holds one uint8 count (no count exceeds 2d) and one
+    int32 round; each frontier array is dropped after its last use.
+    """
+    if codes is None:
+        codes = lattice.face_codes(spec.d, spec.n)
+    size, r = len(codes), spec.r
+    times = np.full(size, -1, dtype=np.int32)
+    times[seeds] = 0
+    rows = neighbor_rows(spec, seeds, codes)
+    counts = np.zeros(size, dtype=np.uint8)
+
+    t = 0
+    while len(rows):
+        hits = rows.ravel("K")  # the rows' memory order; no copy
+        # drops the grid's self entries too: every row's own cell is infected
+        hits = hits[times[hits] < 0]
+        del rows
+        # each distinct index and its multiplicity, as the runs of the hits
+        # sorted in place; the runs' bounds, the ends included, are the set
+        # entries of one bool array, so no call pads or copies an array
+        hits.sort()
+        bounds = np.empty(len(hits) + 1, dtype=bool)
+        bounds[0] = bounds[-1] = True
+        np.not_equal(hits[1:], hits[:-1], out=bounds[1:-1])
+        starts = bounds.nonzero()[0]
+        del bounds
+        candidates = hits[starts[:-1]]
+        del hits
+        counts[candidates] += (starts[1:] - starts[:-1]).astype(np.uint8)
+        crossed = candidates[counts[candidates] >= r]
+        if not len(crossed):
+            break
+        t += 1
+        times[crossed] = t
+        rows = neighbor_rows(spec, crossed, codes)
+    return times, counts, t
 
 
 def _perimeters(spec: LatticeSpec, times: np.ndarray, T: int) -> list[int]:

@@ -5,22 +5,24 @@ and percolation-time sweeps with quadratic least-squares fits.
 from __future__ import annotations
 
 import bisect
-import time
 from dataclasses import dataclass, field, fields
-from typing import Iterable, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .constructions import build_construction
-from .dynamics import CellSet, run
+from .dynamics import CellSet, _infect, run
 from .extremal import BudgetExceededError, ordered_results
-from .lattice import LatticeSpec, levels
+from .lattice import LatticeSpec, face_codes, levels
 from .witness import StripContext
 
 SWEEP_CONSTRUCTIONS = ("hyperplanes", "shifted", "boundary")
 
 # cap on n**d for a single sweep run; large d=5 campaigns must raise it explicitly
 DEFAULT_CELL_BUDGET = 1 << 23
+# cap on the cells of one box of stacked sweep lattices (about 2 MB of engine state)
+_BATCH_CELLS = 1 << 18
 
 
 def verify_strip_fill(d: int, n: int, s: int) -> bool:
@@ -106,17 +108,15 @@ class SweepRow:
     T: int
     percolates: bool
     cells: int  # initially infected cells
-    runtime_s: float
     within_bound: bool  # T <= (d+2)*n**2 + n
 
     def to_json_dict(self) -> dict:
-        # runtime_s differs from run to run, so it stays out of the document
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "runtime_s"}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
 class SweepTable:
-    """One engine run per n for a fixed construction, plus an optional quadratic fit.
+    """The percolation time per n of a fixed construction, plus an optional quadratic fit.
 
     The fit (ordinary least squares of T against a2*n^2 + a1*n + a0) is
     computed only when at least four percolating rows exist; non-percolating
@@ -142,20 +142,49 @@ class SweepTable:
         return "\n".join(lines)
 
 
-def _sweep_row(d: int, n: int, construction: str) -> SweepRow:
-    initial = build_construction(construction, d, n)
-    spec = LatticeSpec(d, n, "grid", d)
-    start = time.perf_counter()
-    record = run(spec, initial)
-    elapsed = time.perf_counter() - start
-    return SweepRow(
-        n=n,
-        T=record.T,
-        percolates=record.percolates,
-        cells=len(initial),
-        runtime_s=elapsed,
-        within_bound=record.T <= (d + 2) * n * n + n,
-    )
+def _batches(d: int, ns: Iterable[int], cap: int) -> Iterator[list[int]]:
+    """Ascending ``ns`` in consecutive groups whose :func:`_sweep_batch` box
+    has at most ``cap`` cells; a lattice over ``cap`` forms a group alone."""
+    batch: list[int] = []
+    for n in ns:
+        if batch and (sum(batch) + n) * n ** (d - 1) > cap:
+            yield batch
+            batch = []
+        batch.append(n)
+    if batch:
+        yield batch
+
+
+def _sweep_batch(d: int, ns: list[int], construction: str) -> list[SweepRow]:
+    """The rows of the ascending sides ``ns``, from one engine run.
+
+    The lattices [n]^d are stacked as slabs along axis 0 of a box of shape
+    (sum(ns), N, ..., N), N = max(ns), with the strides of [N]^d.  Each
+    slab holds its lattice's seeds and face codes in its corner, so every
+    step off a lattice's face leads back to the cell (see
+    :func:`neighbor_rows`) and no row reaches the padding or another slab.
+    One lattice is the box itself, run on its own face codes.
+    """
+    initials = [build_construction(construction, d, n) for n in ns]
+    shape = (sum(ns),) + (ns[-1],) * (d - 1)
+    starts = np.cumsum([0, *ns]).tolist()
+    slabs = [(slice(a, a + n),) + (slice(n),) * (d - 1) for a, n in zip(starts, ns)]
+    if len(ns) == 1:
+        codes, seeds = None, np.flatnonzero(initials[0]._mask())
+    else:
+        codes = np.zeros(shape, dtype=face_codes(d, ns[0]).dtype)
+        seeded = np.zeros(shape, dtype=bool)
+        for n, slab, initial in zip(ns, slabs, initials):
+            codes[slab] = face_codes(d, n).reshape((n,) * d)
+            seeded[slab] = initial._mask().reshape((n,) * d)
+        codes, seeds = codes.ravel(), np.flatnonzero(seeded)
+        del seeded
+    times = _infect(LatticeSpec(d, ns[-1], "grid", d), seeds, codes)[0].reshape(shape)
+    rows = []
+    for n, slab, initial in zip(ns, slabs, initials):
+        T = max(int(times[slab].max()), 0)  # an empty seed set has T = 0
+        rows.append(SweepRow(n, T, bool(times[slab].min() >= 0), len(initial), T <= (d + 2) * n * n + n))
+    return rows
 
 
 def _quadratic_fit(rows: list[SweepRow]) -> dict | None:
@@ -182,7 +211,13 @@ def sweep_time(
     parallelism: int = 1,
     cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> SweepTable:
-    """Run the given construction once per n and tabulate percolation times."""
+    """Run the given construction once per n and tabulate percolation times.
+
+    Consecutive n are run together by :func:`_sweep_batch` in boxes of at
+    most ``min(_BATCH_CELLS, cell_budget)`` cells; with ``parallelism > 1``
+    the batches run in a process pool.  The rows are those of one
+    :func:`run` per n.
+    """
     if construction not in SWEEP_CONSTRUCTIONS:
         raise ValueError(f"unknown sweep construction {construction!r} (choose from {SWEEP_CONSTRUCTIONS})")
     # an ascending range is already sorted and distinct, so it is never built
@@ -203,5 +238,6 @@ def sweep_time(
         first = bisect.bisect_left(ns, top)
     for n in ns[first:first + 1]:
         raise BudgetExceededError(f"n={n} needs {n**d} cells, over the cell budget of {cell_budget}")
-    rows = list(ordered_results(_sweep_row, ((d, n, construction) for n in ns), parallelism))
+    calls = ((d, batch, construction) for batch in _batches(d, ns, min(_BATCH_CELLS, cell_budget)))
+    rows = list(chain.from_iterable(ordered_results(_sweep_batch, calls, parallelism)))
     return SweepTable(d=d, construction=construction, rows=rows, fit=_quadratic_fit(rows))

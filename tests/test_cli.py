@@ -132,6 +132,23 @@ def test_cli_import_loads_no_pool_modules():
 
 
 
+def test_closed_stdout_exits_141_quietly():
+    # the reader takes one byte and closes the pipe, far ahead of the
+    # document's end; the CLI drops the rest and prints nothing to stderr
+    src = str(Path(bootperc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = "simulate --construction hyperplanes --d 3 --n 20 --trace --audit --format json".split()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bootperc.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads through Linux /proc")
 def test_cli_import_starts_no_blas_thread():
     # the CLI asks for one OpenBLAS thread before numpy loads, so the process
@@ -372,7 +389,9 @@ def test_sweep_json_with_step(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [row["n"] for row in doc["rows"]] == [3, 6, 9]
-    assert all("runtime_s" not in row for row in doc["rows"])
+    # the rows' fields only: no timing field reaches the document
+    assert set(doc) == {"d", "construction", "rows", "fit"}
+    assert all(set(row) == {"n", "T", "percolates", "cells", "within_bound"} for row in doc["rows"])
 
 
 @pytest.mark.parametrize(

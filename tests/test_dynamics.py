@@ -378,8 +378,8 @@ def test_int32_table_gives_the_int64_results(monkeypatch, d, n, topology):
     wide = table.astype(np.int64)
     calls = []
 
-    def recorded(spec, cells):
-        rows = neighbor_rows(spec, cells)
+    def recorded(spec, cells, codes=None):
+        rows = neighbor_rows(spec, cells, codes)
         calls.append((cells, rows))
         return rows
 
@@ -463,6 +463,27 @@ def test_engines_agree_on_counts_up_to_2d(spec, seed):
     assert record == run_naive(spec, initial, audit=True, record_trace=trace)
     if spec.topology == "torus" and spec.r == 2 * spec.d:
         assert record.T > 0 and set(record.audit_array[:, 2].tolist()) == {2 * spec.d}
+
+
+def _run_length_cases():
+    for d, n in ((1, 9), (2, 6), (3, 4), (4, 3)):
+        for topology in ("grid", "torus"):
+            for r in range(1, 2 * d + 1):
+                yield d, n, topology, r
+
+
+@pytest.mark.parametrize("d,n,topology,r", list(_run_length_cases()))
+def test_run_length_counts_match_the_oracle_on_random_seeds(d, n, topology, r):
+    """Each round counts a healthy cell's hits by run lengths of the sorted
+    hits; sparse and dense seeds give cells one hit and up to 2d in a round."""
+    spec = LatticeSpec(d, n, topology, r)
+    rng = random.Random(f"run-length-{spec}")
+    trace = topology == "grid"
+    for density in (0.15, 0.5):
+        seed = CellSet.from_indices(d, n, [i for i in range(spec.size) if rng.random() < density])
+        assert run(spec, seed, audit=True, record_trace=trace) == run_naive(
+            spec, seed, audit=True, record_trace=trace
+        )
 
 
 def _equivalence_cases():

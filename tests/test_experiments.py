@@ -1,15 +1,18 @@
 import multiprocessing
 
+import numpy as np
 import pytest
 
+from bootperc import experiments
 from bootperc.experiments import (
     SWEEP_CONSTRUCTIONS,
+    SweepRow,
     sweep_time,
     verify_separation,
     verify_strip_fill,
 )
-from bootperc.constructions import level_set
-from bootperc.dynamics import run_naive
+from bootperc.constructions import build_construction, level_set
+from bootperc.dynamics import _infect, run, run_naive
 from bootperc.extremal import BudgetExceededError
 from bootperc.lattice import LatticeSpec, cell_at
 
@@ -181,10 +184,13 @@ def test_sweep_cell_budget_above_sys_maxsize():
         sweep_time(1, range(1, 10**20), "hyperplanes", cell_budget=2**64)
 
 
-def test_sweep_parallel_matches_serial():
-    serial = sweep_time(2, range(3, 7), "hyperplanes")
-    parallel = sweep_time(2, range(3, 7), "hyperplanes", parallelism=2)
-    assert serial.to_json_dict() == parallel.to_json_dict()  # runtime is not serialised
+def test_sweep_parallel_matches_serial(monkeypatch):
+    # a small box spreads the lattices over the pool in batches of 5, 2 and 1
+    monkeypatch.setattr(experiments, "_BATCH_CELLS", 2000)
+    assert list(map(len, experiments._batches(3, range(3, 14), 2000))) == [5, 2, 1, 1, 1, 1]
+    serial = sweep_time(3, range(3, 14), "hyperplanes")
+    parallel = sweep_time(3, range(3, 14), "hyperplanes", parallelism=2)
+    assert serial == parallel
     assert multiprocessing.active_children() == []
 
 
@@ -195,5 +201,93 @@ def test_sweep_serialization():
     assert csv[1] == "2,hyperplanes,3,3,true,3"
     doc = table.to_json_dict()
     assert doc["d"] == 2 and doc["construction"] == "hyperplanes"
-    assert "runtime_s" not in doc["rows"][0]
-    assert table.rows[0].runtime_s >= 0
+    # the rows' fields only: no timing field reaches the document
+    assert set(doc["rows"][0]) == {"n", "T", "percolates", "cells", "within_bound"}
+
+
+# -- batched sweeps --------------------------------------------------------------
+
+_BATCH_NS = {1: [9, 1, 30, 4, 2, 2, 17, 12, 5], 2: [7, 1, 12, 3, 3, 9, 2], 3: [6, 2, 9, 3, 1, 6, 4],
+             4: [4, 1, 6, 2, 3, 3], 5: [3, 1, 4, 2, 2]}
+
+
+def _reference_row(d, n, construction):
+    initial = build_construction(construction, d, n)
+    record = run(LatticeSpec(d, n), initial)
+    return SweepRow(n, record.T, record.percolates, len(initial), record.T <= (d + 2) * n * n + n)
+
+
+@pytest.mark.parametrize("construction", SWEEP_CONSTRUCTIONS)
+@pytest.mark.parametrize("d", sorted(_BATCH_NS))
+def test_batched_sweep_matches_one_run_per_n(monkeypatch, d, construction):
+    # a few of the largest lattices fit one box, so the lists split into
+    # several batches of several lattices, and a lone lattice over the cap
+    ns = sorted(set(_BATCH_NS[d]))
+    cap = 2 * max(ns) ** d
+    batches = list(experiments._batches(d, ns, cap))
+    assert len(batches) > 1 and max(map(len, batches)) > 2
+    monkeypatch.setattr(experiments, "_BATCH_CELLS", cap)
+    table = sweep_time(d, _BATCH_NS[d], construction)
+    reference = [_reference_row(d, n, construction) for n in ns]
+    assert table.rows == reference
+    assert table.fit == experiments._quadratic_fit(reference)
+
+
+def _spy_on_the_engine(monkeypatch):
+    """Every ``_infect`` call of a sweep, as (box codes, times, counts)."""
+    calls = []
+
+    def recorded(spec, seeds, codes=None):
+        times, counts, T = _infect(spec, seeds, codes)
+        calls.append((codes, times, counts))
+        return times, counts, T
+
+    monkeypatch.setattr(experiments, "_infect", recorded)
+    return calls
+
+
+def test_batch_leaves_the_padding_healthy_and_uncounted(monkeypatch):
+    calls = _spy_on_the_engine(monkeypatch)
+    ns = [3, 5, 6, 8]
+    sweep_time(3, ns, "boundary")
+    ((codes, times, counts),) = calls
+    padding = np.ones((sum(ns), 8, 8), dtype=bool)
+    for start, n in zip(np.cumsum([0, *ns]), ns):
+        padding[start : start + n, :n, :n] = False
+    padding = padding.ravel()
+    assert len(codes) == len(times) == padding.size
+    assert (times[padding] == -1).all() and (counts[padding] == 0).all()
+    assert (times[~padding] >= 0).all()  # every lattice percolates
+
+
+@pytest.mark.parametrize(
+    "d, ns, batch_cells, cell_budget",
+    [(3, range(2, 20), 5000, experiments.DEFAULT_CELL_BUDGET), (3, range(2, 15), None, 3000),
+     (4, range(2, 7), 2000, 1500)],
+)
+def test_no_batch_box_exceeds_its_cap(monkeypatch, d, ns, batch_cells, cell_budget):
+    if batch_cells is not None:
+        monkeypatch.setattr(experiments, "_BATCH_CELLS", batch_cells)
+    calls = _spy_on_the_engine(monkeypatch)
+    cap = min(experiments._BATCH_CELLS, cell_budget)
+    table = sweep_time(d, ns, "hyperplanes", cell_budget=cell_budget)
+    assert [row.n for row in table.rows] == list(ns)
+    boxes = [len(codes) for codes, _, _ in calls if codes is not None]
+    assert boxes and max(boxes) <= cap
+    # the batches cover ns in order, each as large as the cap allows
+    batches = list(experiments._batches(d, ns, cap))
+    assert [n for batch in batches for n in batch] == list(ns)
+    assert len(calls) == len(batches)
+    for batch, after in zip(batches, batches[1:]):
+        assert (sum(batch) + after[0]) * after[0] ** (d - 1) > cap
+
+
+def test_huge_range_is_refused_before_any_batch(monkeypatch):
+    def refuse(*call):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(experiments, "_sweep_batch", refuse)
+    with pytest.raises(BudgetExceededError):
+        sweep_time(3, range(1, 10**20), "hyperplanes")
+    with pytest.raises(BudgetExceededError):
+        sweep_time(1, range(1, 10**20), "hyperplanes", cell_budget=2**64)
