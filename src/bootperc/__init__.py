@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 # each submodule and the public names it exports
 _EXPORTS = {
-    "colex": ("colex_combinations",),
+    "colex": (),  # no public names; the key alone lets bootperc.colex resolve
     "constructions": ("CONSTRUCTIONS", "boundary", "build_construction", "diagonal", "hyperplane_union",
                       "level_set", "shifted_union", "torus3_seed"),
     "dynamics": ("AuditEvent", "CellSet", "RunRecord", "closure", "perimeter", "run", "run_naive",
@@ -24,8 +24,7 @@ _EXPORTS = {
                     "verify_strip_fill"),
     "extremal": ("BudgetExceededError", "NoPercolatingSetError", "SearchResult", "is_minimal",
                  "min_percolating_size", "min_percolation_time"),
-    "lattice": ("Cell", "LatticeSpec", "Topology", "cell_to_index", "index_to_cell", "iter_level_cells",
-                "level_of", "neighbors"),
+    "lattice": ("Cell", "LatticeSpec", "Topology", "iter_level_cells", "neighbors"),
     "witness": ("StripContext", "WitnessCycleError", "WitnessDag", "WitnessNode", "build_witness",
                 "coordinate_sum_above", "infectors", "iter_strip_cells", "level_offset", "max_depth_bound",
                 "squared_coordinate_sum", "write_witness_json"),

@@ -39,34 +39,6 @@ _SLAB = 2**12
 _LOW_BITS = np.array([2**i - 1 for i in range(65)], dtype=np.uint64)
 
 
-def colex_combinations(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-subsets of range(n) as ascending tuples, in colexicographic order.
-
-    Colex compares subsets by their largest element first, then recurses on
-    the remainder: (0,1), (0,2), (1,2), (0,3), ...
-    """
-    if k < 0 or k > n:
-        return
-    if k == 0:
-        yield ()
-        return
-    a = list(range(k))
-    while True:
-        yield tuple(a)
-        i = 0
-        while i < k:
-            bumped = a[i] + 1
-            ceiling = a[i + 1] if i + 1 < k else n
-            if bumped < ceiling:
-                a[i] = bumped
-                for j in range(i):
-                    a[j] = j
-                break
-            i += 1
-        else:
-            return
-
-
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def _binomials(size: int, k: int) -> list[np.ndarray]:
     """comb(m, i) for m in [i-1, size-k+i-1], the range of c_i in a k-subset
@@ -81,8 +53,8 @@ def _binomials(size: int, k: int) -> list[np.ndarray]:
 
 
 def _colex_chunk(size: int, k: int, start: int, stop: int) -> np.ndarray:
-    """(stop - start, k) index array: rows ``start:stop`` of
-    ``colex_combinations(size, k)``.
+    """(stop - start, k) index array: rows ``start:stop`` of the k-subsets
+    of range(size) in colex order.
 
     The k-set c_1 < ... < c_k has colex rank sum_i comb(c_i, i), so each
     rank is unranked largest element first: c_i is the greatest m with

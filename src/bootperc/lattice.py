@@ -111,19 +111,6 @@ def coordinates(indices: np.ndarray, d: int, n: int) -> np.ndarray:
     return np.stack(np.unravel_index(indices, (n,) * d), axis=1) + 1
 
 
-def cell_to_index(cell: Cell, spec: LatticeSpec) -> int:
-    return cell_index(cell, spec.d, spec.n)
-
-
-def index_to_cell(index: int, spec: LatticeSpec) -> Cell:
-    return cell_at(index, spec.d, spec.n)
-
-
-def level_of(cell: Cell) -> int:
-    """Coordinate sum; cells of one level form a diagonal hyperplane."""
-    return sum(cell)
-
-
 def neighbors(cell: Cell, spec: LatticeSpec) -> list[Cell]:
     """Adjacent cells in fixed order: dimension 1..d, minus step then plus step.
 

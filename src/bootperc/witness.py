@@ -239,11 +239,6 @@ def _walk(nodes: dict[Cell, WitnessNode], root: Cell) -> tuple[list[Cell] | None
     return None, depth
 
 
-def find_cycle(nodes: dict[Cell, WitnessNode], root: Cell) -> list[Cell] | None:
-    """Depth-first search with on-path marking; returns one cycle or None."""
-    return _walk(nodes, root)[0]
-
-
 def build_witness(v: Cell, ctx: StripContext) -> WitnessDag:
     """Build the memoised infection certificate of a cell inside the strip.
 

@@ -114,19 +114,21 @@ def test_simulate_bad_initial_file_message(tmp_path, capsys, content, stderr):
 def test_cli_import_loads_no_pool_modules():
     # the process pool's modules load only when a search or sweep starts a
     # pool, whichever entry point is imported (each in a fresh process); the
-    # package alone loads neither numpy nor any of its own submodules
+    # package alone loads neither numpy nor any of its own submodules, and
+    # bootperc.colex, which exports no name, still resolves on first use
     src = str(Path(bootperc.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for module in ("bootperc", "bootperc.cli", "bootperc.experiments"):
         code = (
             f"import sys, {module}; "
             "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules))); "
-            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('bootperc.')))"
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('bootperc.'))); "
+            "print(sys.modules['bootperc'].colex is sys.modules['bootperc.colex'])"
         )
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
-        pool, loaded = result.stdout.splitlines()
-        assert pool == "[]", module
+        pool, loaded, colex = result.stdout.splitlines()
+        assert (pool, colex) == ("[]", "True"), module
         if module == "bootperc":
             assert loaded == "[]"
 
@@ -168,14 +170,13 @@ def test_cli_import_starts_no_blas_thread():
     assert threads_and_setting()[1] == "2"
 
 
-# the 49 public names of the package
+# the 45 public names of the package
 PUBLIC_NAMES = {
     "AuditEvent", "BudgetExceededError", "CONSTRUCTIONS", "Cell", "CellSet", "LatticeSpec",
     "NoPercolatingSetError", "RunRecord", "SearchResult", "SeparationReport", "StripContext",
     "SweepRow", "SweepTable", "Topology", "WitnessCycleError", "WitnessDag", "WitnessNode",
-    "boundary", "build_construction", "build_witness", "cell_to_index", "closure",
-    "colex_combinations", "coordinate_sum_above", "diagonal", "hyperplane_union", "index_to_cell",
-    "infectors", "is_minimal", "iter_level_cells", "iter_strip_cells", "level_of", "level_offset",
+    "boundary", "build_construction", "build_witness", "closure", "coordinate_sum_above", "diagonal",
+    "hyperplane_union", "infectors", "is_minimal", "iter_level_cells", "iter_strip_cells", "level_offset",
     "level_set", "max_depth_bound", "min_percolating_size", "min_percolation_time",
     "neighbors", "perimeter", "run", "run_naive", "shifted_union", "squared_coordinate_sum",
     "sweep_time", "torus3_seed", "verify_separation", "verify_strip_fill", "write_record_json",
@@ -184,7 +185,7 @@ PUBLIC_NAMES = {
 
 
 def test_package_namespace_resolves_every_public_name():
-    assert len(bootperc.__all__) == len(PUBLIC_NAMES) == 49
+    assert len(bootperc.__all__) == len(PUBLIC_NAMES) == 45
     assert set(bootperc.__all__) == PUBLIC_NAMES
     for name in bootperc.__all__:
         home = importlib.import_module(f"bootperc.{bootperc._HOME[name]}")
@@ -196,8 +197,9 @@ def test_package_namespace_resolves_every_public_name():
     assert PUBLIC_NAMES <= set(namespace)
     assert all(namespace[name] is getattr(bootperc, name) for name in PUBLIC_NAMES)
     assert PUBLIC_NAMES <= set(dir(bootperc))
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        bootperc.no_such_name
+    for name in ("no_such_name", "cell_to_index", "index_to_cell", "level_of", "colex_combinations"):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(bootperc, name)
 
 
 def test_out_of_memory_is_a_resource_error(monkeypatch, capsys):

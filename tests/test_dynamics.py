@@ -161,12 +161,12 @@ def test_trace_refused_on_torus():
 def test_times_respect_threshold_semantics():
     spec = LatticeSpec(2, 4)
     rec = run(spec, cellset(2, 4, (1, 1), (1, 3), (3, 1), (4, 4), (2, 2)))
-    from bootperc.lattice import index_to_cell, neighbors
+    from bootperc.lattice import cell_at, neighbors
 
     for i, t in enumerate(rec.times):
         if t <= 0:
             continue
-        earlier = [rec.time_of(u) for u in neighbors(index_to_cell(i, spec), spec)]
+        earlier = [rec.time_of(u) for u in neighbors(cell_at(i, spec.d, spec.n), spec)]
         assert sum(1 for x in earlier if x is not None and x < t) >= spec.r
         assert sum(1 for x in earlier if x is not None and x < t - 1) < spec.r
 

@@ -18,7 +18,6 @@ from bootperc.colex import (
     _seed_planes,
     _Unit,
     _units,
-    colex_combinations,
 )
 from bootperc.constructions import diagonal, hyperplane_union
 from bootperc.dynamics import CellSet, closure, run
@@ -38,27 +37,36 @@ from bootperc.lattice import LatticeSpec, neighbor_table
 # -- enumeration ---------------------------------------------------------------
 
 
+def _colex(n, k):
+    """Reference colex order: the k-subsets of range(n) as ascending tuples,
+    compared largest element first."""
+    return sorted(itertools.combinations(range(n), k), key=lambda c: c[::-1])
+
+
+def _chunk(n, k):
+    """Every row of ``_colex_chunk(n, k)`` as a tuple."""
+    return [tuple(row) for row in _colex_chunk(n, k, 0, comb(n, k)).tolist()]
+
+
 def test_colex_order_prefix():
-    got = list(colex_combinations(4, 2))
-    assert got == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    assert _chunk(4, 2) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
 
 
 def test_colex_counts_and_strict_order():
-    from math import comb
-
     def rank_key(t):
         return tuple(reversed(t))  # colex = lex on reversed descending tuples
 
     for n, k in [(6, 3), (7, 1), (5, 5), (5, 0)]:
-        seq = list(colex_combinations(n, k))
+        seq = _chunk(n, k)
         assert len(seq) == comb(n, k)
         assert len(set(seq)) == len(seq)
         assert all(rank_key(a) < rank_key(b) for a, b in zip(seq, seq[1:]))
+        assert seq == _colex(n, k)
 
 
 def test_colex_degenerate():
-    assert list(colex_combinations(3, 0)) == [()]
-    assert list(colex_combinations(3, 4)) == []
+    assert _chunk(3, 0) == [()]
+    assert _chunk(3, 4) == []
 
 
 def _indices(u):
@@ -106,7 +114,7 @@ def test_colex_chunks_concatenate_to_colex_order(monkeypatch, words):
         for size, k in [(12, 0), (12, 2), (12, 3), (12, 5), (12, 12), (6, 3), (9, 4), (10, 1), (7, 7)]:
             parts = _rows(size, k)
             assert all(len(part) for part in parts)
-            assert np.vstack(parts).tolist() == [list(c) for c in colex_combinations(size, k)]
+            assert np.vstack(parts).tolist() == [list(c) for c in _colex(size, k)]
         assert list(_units(3, 4)) == []
 
 
@@ -118,7 +126,7 @@ def test_low_size_and_table_bounds():
     assert (_low_size(2049, 2), _low_size(40000, 1), _low_size(40000, 0)) == (1, 1, 0)
     assert _low_table.cache_info().maxsize is not None
     for size, j in [(27, 5), (36, 4), (1300, 1)]:
-        planes, rows = _low_table(size, j), np.array(list(colex_combinations(size, j)))
+        planes, rows = _low_table(size, j), np.array(_colex(size, j))
         assert planes.shape == (size, -(-comb(size, j) // 64))
         assert 64 * planes.size <= colex._CHUNK_CELLS
         assert _colex_chunk(size, j, 0, len(rows)).tolist() == rows.tolist()
@@ -159,7 +167,7 @@ def test_colex_chunks_on_large_lattices(monkeypatch):
     parts = [_Unit(1300, *unit) for unit in units]
     assert max(len(part.valid) for part in parts) == colex._CHUNK_CELLS // (64 * 1300) < colex._CHUNK_WORDS
     rows = np.vstack([_indices(part) for part in parts])
-    assert rows.tolist() == [list(c) for c in colex_combinations(1300, 2)]
+    assert rows.tolist() == [list(c) for c in _colex(1300, 2)]
     # the planes of the first and the last unit hold the same rows
     assert _unit_rows(1300, units[0]).tolist() == rows[: parts[0].count].tolist()
     assert _unit_rows(1300, units[-1]).tolist() == rows[-parts[-1].count :].tolist()
@@ -187,7 +195,7 @@ def test_colex_chunk_is_any_slice_of_colex_order(data):
         b = data.draw(st.integers(min_value=a, max_value=len(units)))
         start = sum(_Unit(size, *unit).count for unit in units[:a])
         rows = [tuple(row) for unit in units[a:b] for row in _unit_rows(size, unit).tolist()]
-    assert rows == list(colex_combinations(size, k))[start : start + len(rows)]
+    assert rows == _colex(size, k)[start : start + len(rows)]
     assert b < len(units) or start + len(rows) == comb(size, k)
 
 
@@ -383,7 +391,7 @@ def _orbit_representatives(spec, max_size):
     maps = symmetry_index_maps(spec).tolist()
     count = 0
     for k in range(1, max_size + 1):
-        for cells in colex_combinations(spec.size, k):
+        for cells in _colex(spec.size, k):
             key = sorted(cells, reverse=True)
             if any(sorted((g[c] for c in cells), reverse=True) < key for g in maps):
                 continue
@@ -496,7 +504,7 @@ def _canonical_reference(spec, k):
     """Per k-set in colex order: True when no row of the index table sends
     it to a set of smaller colex rank (sum_i comb(c_i, i + 1) over its
     cells in ascending order)."""
-    sets = np.array(list(colex_combinations(spec.size, k)), dtype=np.int64)
+    sets = np.array(_colex(spec.size, k), dtype=np.int64)
     binomials = np.array([[comb(c, i + 1) for i in range(k)] for c in range(spec.size)], dtype=np.int64)
 
     def ranks(cells):

@@ -10,11 +10,9 @@ from bootperc.lattice import (
     MAX_CELLS,
     LatticeSpec,
     cell_at,
-    cell_to_index,
+    cell_index,
     face_codes,
-    index_to_cell,
     iter_level_cells,
-    level_of,
     levels,
     neighbor_lists,
     neighbor_masks,
@@ -56,15 +54,15 @@ def test_index_and_level_guards():
 
 def test_row_major_rule():
     spec = LatticeSpec(2, 3)
-    assert [cell_to_index((v1, v2), spec) for v1 in (1, 2, 3) for v2 in (1, 2, 3)] == list(range(9))
-    assert index_to_cell(5, spec) == (2, 3)
+    assert [cell_index((v1, v2), spec.d, spec.n) for v1 in (1, 2, 3) for v2 in (1, 2, 3)] == list(range(9))
+    assert cell_at(5, spec.d, spec.n) == (2, 3)
 
 
 @pytest.mark.parametrize("d,n", [(1, 7), (2, 9), (3, 4), (4, 3), (6, 2), (3, 50)])
 def test_index_round_trip(d, n):
     spec = LatticeSpec(d, n)
     for i in range(spec.size):
-        assert cell_to_index(index_to_cell(i, spec), spec) == i
+        assert cell_index(cell_at(i, spec.d, spec.n), spec.d, spec.n) == i
 
 
 def test_neighbors_corner_interior_wraparound():
@@ -93,7 +91,7 @@ def test_neighbors_rejects_bad_cells():
 @pytest.mark.parametrize("spec", [LatticeSpec(2, 4), LatticeSpec(3, 3), LatticeSpec(2, 5, "torus")])
 def test_adjacency_is_symmetric(spec):
     for i in range(spec.size):
-        u = index_to_cell(i, spec)
+        u = cell_at(i, spec.d, spec.n)
         for v in neighbors(u, spec):
             assert u in neighbors(v, spec)
 
@@ -101,7 +99,7 @@ def test_adjacency_is_symmetric(spec):
 def test_grid_degree_formula():
     spec = LatticeSpec(3, 4)
     for i in range(spec.size):
-        cell = index_to_cell(i, spec)
+        cell = cell_at(i, spec.d, spec.n)
         at_wall = sum(1 for v in cell if v in (1, spec.n))
         assert len(neighbors(cell, spec)) == 2 * spec.d - at_wall
 
@@ -109,19 +107,13 @@ def test_grid_degree_formula():
 def test_torus_degree_always_2d():
     spec = LatticeSpec(3, 3, "torus")
     for i in range(spec.size):
-        nbrs = neighbors(index_to_cell(i, spec), spec)
+        nbrs = neighbors(cell_at(i, spec.d, spec.n), spec)
         assert len(nbrs) == len(set(nbrs)) == 6
 
 
 def test_degenerate_side_one():
     spec = LatticeSpec(3, 1)
     assert neighbors((1, 1, 1), spec) == []
-
-
-def test_level_of():
-    assert level_of((1, 1, 1)) == 3
-    assert level_of((4, 2, 2)) == 8
-    assert level_of((5, 5, 5)) == 15
 
 
 @pytest.mark.parametrize("d,n", [(1, 6), (2, 5), (3, 4), (4, 3)])
@@ -135,7 +127,7 @@ def test_level_sets_partition_the_lattice(d, n):
         else:
             assert not cells
         for cell in cells:
-            assert level_of(cell) == k
+            assert sum(cell) == k
         total += len(cells)
     assert total == n**d
 
@@ -158,7 +150,7 @@ def test_neighbor_lists_match_neighbors():
     for spec in (LatticeSpec(2, 4), LatticeSpec(3, 3, "torus")):
         lists = neighbor_lists(spec)
         for i in range(spec.size):
-            expected = [cell_to_index(v, spec) for v in neighbors(index_to_cell(i, spec), spec)]
+            expected = [cell_index(v, spec.d, spec.n) for v in neighbors(cell_at(i, spec.d, spec.n), spec)]
             assert lists[i] == expected
 
 
@@ -178,13 +170,13 @@ def test_neighbor_table_rows_match_neighbors(spec):
     assert table.shape == (spec.size, 2 * spec.d)
     assert table.min() >= 0
     for i, row in enumerate(table.tolist()):
-        cell = index_to_cell(i, spec)
+        cell = cell_at(i, spec.d, spec.n)
         listed = iter(neighbors(cell, spec))
         expected = []
         for j in range(spec.d):
             for edge in (1, spec.n):
                 missing = spec.topology == "grid" and cell[j] == edge
-                expected.append(i if missing else cell_to_index(next(listed, None), spec))
+                expected.append(i if missing else cell_index(next(listed, None), spec.d, spec.n))
         assert next(listed, None) is None
         assert row == expected
 
@@ -235,7 +227,7 @@ def test_neighbor_rows_match_neighbors_and_the_slice_table(spec):
     assert np.array_equal(rows, reference) and rows.min() >= 0
     assert np.array_equal(neighbor_table(spec), reference)
     for i, row in enumerate(rows.tolist()):
-        present = [cell_to_index(v, spec) for v in neighbors(index_to_cell(i, spec), spec)]
+        present = [cell_index(v, spec.d, spec.n) for v in neighbors(cell_at(i, spec.d, spec.n), spec)]
         assert [x for x in row if x != i] == present
     # any index array, in any order and with repeats
     cells = np.random.default_rng(spec.size).integers(0, spec.size, 2 * spec.size)
@@ -267,9 +259,9 @@ def _check_automorphisms(spec, maps):
     rows = [tuple(row) for row in maps.tolist()]
     assert len(set(rows)) == len(rows)
     edges = {
-        (i, cell_to_index(v, spec))
+        (i, cell_index(v, spec.d, spec.n))
         for i in range(spec.size)
-        for v in neighbors(index_to_cell(i, spec), spec)
+        for v in neighbors(cell_at(i, spec.d, spec.n), spec)
     }
     for row in rows:
         assert sorted(row) == list(range(spec.size))
@@ -291,7 +283,7 @@ def test_torus_symmetry_maps_are_the_translations(d, n):
     assert len(rows) == n**d
     for row in rows:
         shifts = {
-            tuple((a - b) % n for a, b in zip(index_to_cell(row[i], spec), index_to_cell(i, spec)))
+            tuple((a - b) % n for a, b in zip(cell_at(row[i], spec.d, spec.n), cell_at(i, spec.d, spec.n)))
             for i in range(spec.size)
         }
         assert len(shifts) == 1

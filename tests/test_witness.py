@@ -14,7 +14,6 @@ from bootperc.witness import (
     WitnessNode,
     build_witness,
     coordinate_sum_above,
-    find_cycle,
     infectors,
     iter_strip_cells,
     level_offset,
@@ -229,9 +228,9 @@ def test_cycle_detector_fires_on_synthetic_cycle():
         (1,): WitnessNode((1,), 1, ((2,),)),
         (2,): WitnessNode((2,), 2, ((1,),)),
     }
-    assert find_cycle(nodes, (1,)) == [(1,), (2,), (1,)]
+    assert witness._walk(nodes, (1,))[0] == [(1,), (2,), (1,)]
     nodes[(2,)] = WitnessNode((2,), 2, None)
-    assert find_cycle(nodes, (1,)) is None
+    assert witness._walk(nodes, (1,))[0] is None
 
 
 def test_build_witness_raises_on_a_cycle(monkeypatch):
