@@ -116,6 +116,14 @@ def test_degenerate_side_one():
     assert neighbors((1, 1, 1), spec) == []
 
 
+def test_level_of():
+    """A cell's level is its coordinate sum, read from `levels` at its index."""
+    table = levels(3, 5)
+    assert table.dtype == np.uint8
+    for cell, level in [((1, 1, 1), 3), ((4, 2, 2), 8), ((5, 5, 5), 15)]:
+        assert table[cell_index(cell, 3, 5)] == level
+
+
 @pytest.mark.parametrize("d,n", [(1, 6), (2, 5), (3, 4), (4, 3)])
 def test_level_sets_partition_the_lattice(d, n):
     total = 0
