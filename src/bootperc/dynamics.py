@@ -3,10 +3,11 @@
 A run starts from an initial infected set; in each round every healthy cell
 with at least ``r`` infected neighbours becomes infected, all at once.
 Infected cells never heal, so the process stabilises after finitely many
-rounds.  ``run`` is the frontier engine used everywhere: each round is one
-vectorised numpy pass over the neighbour rows of the cells infected in the
-round before, computed from their face codes, so its work is proportional
-to the cells it touches and no neighbour table is built.
+rounds.  ``run`` is the frontier engine used everywhere: each round makes
+vectorised numpy passes over the neighbour rows of the cells infected in
+the round before, a block of them at a time, computed from their face
+codes, so its work is proportional to the cells it touches, its temporary
+memory to one block, and no neighbour table is built.
 ``run_naive`` rescans the whole lattice each round in plain Python and
 exists so the two can be checked against each other bit for bit.
 
@@ -31,6 +32,7 @@ from .lattice import Cell, LatticeSpec, cell_at, cell_index, coordinates, face_c
 # record or witness document is never held whole.
 _WRITE_ROWS = 1 << 16
 _BLOCK_CELLS = 1 << 14  # cells :func:`_perimeters` compares per numpy pass
+_ROUND_CELLS = 1 << 12  # frontier cells :func:`_infect` expands per numpy pass
 
 
 @dataclass(frozen=True)
@@ -430,49 +432,59 @@ def _infect(
     """Infection rounds, infected-neighbour counts and last round T of the
     run from the cells at the indices ``seeds``.
 
-    Each round is one vectorised pass over the :func:`neighbor_rows` of the
-    cells infected in the previous round: their healthy neighbours gain one
-    count each, and those whose count reaches ``r`` make up the next
-    frontier, in ascending index order.  The per-cell ``codes`` default to
-    the lattice's face codes; a box of stacked lattices (see
-    :func:`neighbor_rows`) runs them all in one loop, and its cells that no
-    row reaches keep round -1 and count 0.
+    Each round passes over the cells infected in the previous round in
+    blocks of ``_ROUND_CELLS``, one vectorised pass over each block's
+    :func:`neighbor_rows`: a block's healthy neighbours gain one count per
+    hit, and those whose count crosses ``r`` in that block, ascending
+    within it, join the next frontier.  Rounds are written only after a
+    round's last block, so a count takes in every hit of its round, and
+    the engine holds one block of rows however large the frontier grows.
+    The per-cell ``codes`` default to the lattice's face codes; a box of
+    stacked lattices (see :func:`neighbor_rows`) runs them all in one loop,
+    and its cells that no row reaches keep round -1 and count 0.
 
-    Per cell the engine holds one uint8 count (no count exceeds 2d) and one
-    int32 round; each frontier array is dropped after its last use.
+    Per cell the engine holds one uint8 count and one int32 round.  Until
+    the run ends ``counts`` holds each count minus r, mod 256, so a cell
+    crossed r in a block exactly when its value after the block's ``added``
+    hits is below ``added``: a count still below r wraps to at least
+    256 - r, above any ``added``, as no count exceeds 2d < 128 where any
+    cell has a neighbour.  The test costs what ``count >= r`` would, and a
+    cell that crossed in an earlier block of its round is not listed again.
     """
     if codes is None:
         codes = lattice.face_codes(spec.d, spec.n)
-    size, r = len(codes), spec.r
+    size, shift = len(codes), -spec.r % 256
     times = np.full(size, -1, dtype=np.int32)
     times[seeds] = 0
-    rows = neighbor_rows(spec, seeds, codes)
-    counts = np.zeros(size, dtype=np.uint8)
+    counts = np.full(size, shift, dtype=np.uint8)
 
-    t = 0
-    while len(rows):
-        hits = rows.ravel("K")  # the rows' memory order; no copy
-        # drops the grid's self entries too: every row's own cell is infected
-        hits = hits[times[hits] < 0]
-        del rows
-        # each distinct index and its multiplicity, as the runs of the hits
-        # sorted in place; the runs' bounds, the ends included, are the set
-        # entries of one bool array, so no call pads or copies an array
-        hits.sort()
-        bounds = np.empty(len(hits) + 1, dtype=bool)
-        bounds[0] = bounds[-1] = True
-        np.not_equal(hits[1:], hits[:-1], out=bounds[1:-1])
-        starts = bounds.nonzero()[0]
-        del bounds
-        candidates = hits[starts[:-1]]
-        del hits
-        counts[candidates] += (starts[1:] - starts[:-1]).astype(np.uint8)
-        crossed = candidates[counts[candidates] >= r]
-        if not len(crossed):
-            break
-        t += 1
-        times[crossed] = t
-        rows = neighbor_rows(spec, crossed, codes)
+    t, frontier = 0, seeds
+    while len(frontier):
+        crossed = []
+        for start in range(0, len(frontier), _ROUND_CELLS):
+            hits = neighbor_rows(spec, frontier[start : start + _ROUND_CELLS], codes).ravel("K")  # no copy
+            # drops the grid's self entries too: every row's own cell is infected
+            hits = hits[times[hits] < 0]
+            # each distinct index and its multiplicity, as the runs of the
+            # hits sorted in place; the runs' bounds, the ends included, are
+            # the set entries of one bool array, so no call pads or copies
+            hits.sort()
+            bounds = np.empty(len(hits) + 1, dtype=bool)
+            bounds[0] = bounds[-1] = True
+            np.not_equal(hits[1:], hits[:-1], out=bounds[1:-1])
+            starts = bounds.nonzero()[0]
+            del bounds
+            candidates = hits[starts[:-1]]
+            del hits
+            added = (starts[1:] - starts[:-1]).astype(np.uint8)
+            counts[candidates] += added
+            crossed.append(candidates[counts[candidates] < added])
+        del frontier  # before the next one is joined
+        frontier = crossed[0] if len(crossed) == 1 else np.concatenate(crossed)
+        if len(frontier):
+            t += 1
+            times[frontier] = t
+    counts -= shift
     return times, counts, t
 
 

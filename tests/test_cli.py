@@ -133,6 +133,25 @@ def test_cli_import_loads_no_pool_modules():
             assert loaded == "[]"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    ["simulate --construction hyperplanes --d 5 --n 12 --format text",
+     "sweep --construction hyperplanes --d 3 --n-range 10:20 --format json"],
+)
+def test_engine_paths_never_load_numpy_ma(argv):
+    # under numpy 2, np.unique asked for no index, inverse or count reads
+    # np.ma.is_masked, which imports numpy.ma: the d = 3 sweep's peak RSS
+    # went 33.0 -> 34.5 MB with one such call per round; a run and a sweep,
+    # each in a fresh process, never load it
+    src = str(Path(bootperc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, bootperc.cli; print(bootperc.cli.main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv.split()], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
+
 
 def test_closed_stdout_exits_141_quietly():
     # the reader takes one byte and closes the pipe, far ahead of the

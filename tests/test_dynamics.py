@@ -415,15 +415,21 @@ def test_engine_reads_no_neighbour_table(monkeypatch):
 
 
 def test_engine_peak_memory_per_cell():
-    # 1 B of count and 4 B of round per cell, no per-cell neighbour rows, and
-    # no frontier kept past its round: about 9 B at [60]^3 and 25 B at [12]^5,
-    # where the frontier reaches a tenth of the lattice.  The trace is read
-    # from the rounds a block of cells at a time, so it keeps those bounds;
-    # the audit adds its 24 B per event, about 42 B per cell in all at [60]^3
+    # 1 B of count and 4 B of round per cell, 1-2 B of face codes, no
+    # per-cell neighbour rows, and one block of a round's frontier expanded
+    # at a time: about 8 B at [60]^3, 12 B at [12]^5, where the frontier
+    # reaches a tenth of the lattice, 9 B at [16]^5 and 11 B on a random 20%
+    # seed of [60]^3.  The trace is read from the rounds a block of cells at a time,
+    # so it keeps those bounds; the audit adds its 24 B per event, about
+    # 42 B per cell in all at [60]^3
     plain, trace, both = {}, {"record_trace": True}, {"audit": True, "record_trace": True}
-    for d, n, options, bound in ((3, 60, plain, 16), (5, 12, plain, 32), (3, 60, trace, 16), (5, 12, trace, 32),
-                                 (3, 60, both, 48)):
-        spec, seed = LatticeSpec(d, n), hyperplane_union(d, n)
+    random_seed = CellSet._from_mask(3, 60, np.random.default_rng(0).random(60**3) < 0.2)
+    for d, n, seed, options, bound in (
+        (3, 60, None, plain, 16), (5, 12, None, plain, 12), (3, 60, None, trace, 16), (5, 12, None, trace, 12),
+        (5, 16, None, plain, 10), (3, 60, None, both, 48), (3, 60, random_seed, plain, 12),
+    ):
+        spec = LatticeSpec(d, n)
+        seed = hyperplane_union(d, n) if seed is None else seed
         tracemalloc.start()
         try:
             record = run(spec, seed, **options)
@@ -431,7 +437,7 @@ def test_engine_peak_memory_per_cell():
         finally:
             tracemalloc.stop()
         assert record.percolates
-        assert peak < bound * spec.size, (d, n, options)
+        assert peak < bound * spec.size, (d, n, options, seed is random_seed)
 
 
 def test_hyperplane_union_on_a_million_cells():
@@ -472,10 +478,14 @@ def _run_length_cases():
                 yield d, n, topology, r
 
 
+@pytest.mark.parametrize("round_cells", [1, 3, dynamics._ROUND_CELLS])
 @pytest.mark.parametrize("d,n,topology,r", list(_run_length_cases()))
-def test_run_length_counts_match_the_oracle_on_random_seeds(d, n, topology, r):
+def test_run_length_counts_match_the_oracle_on_random_seeds(monkeypatch, d, n, topology, r, round_cells):
     """Each round counts a healthy cell's hits by run lengths of the sorted
-    hits; sparse and dense seeds give cells one hit and up to 2d in a round."""
+    hits; sparse and dense seeds give cells one hit and up to 2d in a round.
+    Blocks of one and three frontier cells split every round, so a cell's
+    hits and its crossing of r fall in different blocks of one round."""
+    monkeypatch.setattr(dynamics, "_ROUND_CELLS", round_cells)
     spec = LatticeSpec(d, n, topology, r)
     rng = random.Random(f"run-length-{spec}")
     trace = topology == "grid"

@@ -3,7 +3,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from bootperc import experiments
+from bootperc import dynamics, experiments
 from bootperc.experiments import (
     SWEEP_CONSTRUCTIONS,
     SweepRow,
@@ -217,11 +217,16 @@ def _reference_row(d, n, construction):
     return SweepRow(n, record.T, record.percolates, len(initial), record.T <= (d + 2) * n * n + n)
 
 
-@pytest.mark.parametrize("construction", SWEEP_CONSTRUCTIONS)
-@pytest.mark.parametrize("d", sorted(_BATCH_NS))
-def test_batched_sweep_matches_one_run_per_n(monkeypatch, d, construction):
+@pytest.mark.parametrize(
+    "d, construction, round_cells",
+    [pytest.param(d, c, dynamics._ROUND_CELLS, id=f"{d}-{c}") for d in sorted(_BATCH_NS) for c in SWEEP_CONSTRUCTIONS]
+    + [pytest.param(3, "hyperplanes", 3, id="3-hyperplanes-blocks-of-3")],
+)
+def test_batched_sweep_matches_one_run_per_n(monkeypatch, d, construction, round_cells):
     # a few of the largest lattices fit one box, so the lists split into
-    # several batches of several lattices, and a lone lattice over the cap
+    # several batches of several lattices, and a lone lattice over the cap;
+    # blocks of three frontier cells split a box's rounds across its slabs
+    monkeypatch.setattr(dynamics, "_ROUND_CELLS", round_cells)
     ns = sorted(set(_BATCH_NS[d]))
     cap = 2 * max(ns) ** d
     batches = list(experiments._batches(d, ns, cap))
