@@ -415,13 +415,14 @@ def test_engine_reads_no_neighbour_table(monkeypatch):
 
 
 def test_engine_peak_memory_per_cell():
-    # 1 B of count and 4 B of round per cell, 1-2 B of face codes, no
-    # per-cell neighbour rows, and one block of a round's frontier expanded
-    # at a time: about 8 B at [60]^3, 12 B at [12]^5, where the frontier
-    # reaches a tenth of the lattice, 9 B at [16]^5 and 11 B on a random 20%
-    # seed of [60]^3.  The trace is read from the rounds a block of cells at a time,
-    # so it keeps those bounds; the audit adds its 24 B per event, about
-    # 42 B per cell in all at [60]^3
+    # the engine alone, its lattice's face codes (1-2 B per cell) built
+    # before tracing: 1 B of count and 4 B of round per cell, no per-cell
+    # neighbour rows, and one block of a round's frontier expanded at a
+    # time: about 7 B at [60]^3, 10 B at [12]^5, where the frontier reaches
+    # a tenth of the lattice, 7 B at [16]^5 and 10 B on a random 20% seed
+    # of [60]^3.  The trace is read from the rounds a block of cells at a
+    # time, so it keeps those bounds; the audit adds its 24 B per event,
+    # about 41 B per cell in all at [60]^3
     plain, trace, both = {}, {"record_trace": True}, {"audit": True, "record_trace": True}
     random_seed = CellSet._from_mask(3, 60, np.random.default_rng(0).random(60**3) < 0.2)
     for d, n, seed, options, bound in (
@@ -430,6 +431,7 @@ def test_engine_peak_memory_per_cell():
     ):
         spec = LatticeSpec(d, n)
         seed = hyperplane_union(d, n) if seed is None else seed
+        lattice.face_codes(d, n)
         tracemalloc.start()
         try:
             record = run(spec, seed, **options)
