@@ -13,7 +13,7 @@ boundary; a valid-bit mask clears the padding after each.  The blocks'
 words, laid end to end, are cut into work units (:func:`_units`), and a
 :class:`_Unit` copies its planes from T_j.  No index rows are stored: the
 one builder of bit planes from index rows, :func:`_seed_planes`, makes T_j
-a slab at a time, and a unit unranks again the one low part it returns.
+a slab at a time, and :meth:`_Unit.cells` unranks a hit's low part again.
 """
 
 from __future__ import annotations
@@ -185,7 +185,6 @@ class _Unit:
         self.lo[0] = 64 * first
         if last:
             self.hi[-1] = min(self.hi[-1], 64 * last)
-        self.count = int((self.hi - self.lo).sum())
         # per word of the unit: its block and its word of T_j
         words = -(-self.hi // 64) - self.lo // 64
         self.block = np.repeat(np.arange(len(words)), words)
@@ -211,16 +210,10 @@ class _Unit:
         out &= self.valid
         return out
 
-    def first(self, hits: np.ndarray) -> tuple[tuple[int, ...] | None, int]:
-        """The first candidate whose bit is set in ``hits`` (one word per
-        word of the unit, padding clear) and the candidates up to and
-        including it; (None, count) when no bit is set."""
-        (words,) = np.nonzero(hits)
-        if not len(words):
-            return None, self.count
-        w = int(words[0])
-        word, b = int(hits[w]), int(self.block[w])
-        low = 64 * int(self.column[w]) + (word & -word).bit_length() - 1
-        before = int((self.hi[:b] - self.lo[:b]).sum())
-        cells = (*_colex_chunk(self.size, self.j, low, low + 1)[0].tolist(), *self.tops[b].tolist())
-        return cells, before + low - int(self.lo[b]) + 1
+    def cells(self, position: int) -> tuple[int, ...]:
+        """The candidate at colex position ``position`` of the unit, as
+        ascending cells."""
+        ends = np.cumsum(self.hi - self.lo)
+        b = int(np.searchsorted(ends, position, side="right"))
+        low = int(self.hi[b] - (ends[b] - position))
+        return (*_colex_chunk(self.size, self.j, low, low + 1)[0].tolist(), *self.tops[b].tolist())

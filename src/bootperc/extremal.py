@@ -16,7 +16,12 @@ operations over those rows.  The batches are work units of colex blocks
 copied from a per-process table (see :mod:`bootperc.colex`), never
 unranked one candidate at a time.  Whoever tests a unit (this process or a
 pool worker) copies it itself, so units can be tested in any process as
-long as their results are read back in order.  Every returned witness is
+long as their results are read back in order.  Every search reads the
+kernel the same way: each candidate's percolation time, or -1 when it does
+not percolate below a limit, one array per unit in colex order.  Searches
+differ only in how they reduce those arrays: the first percolating entry
+(smallest size), the first least entry (least time), any percolating entry
+among the single removals (minimality).  Every returned witness is
 re-validated with an independent engine run before the result is handed
 back.  A search up to symmetry runs the same units and only counts its
 candidates differently: Burnside's lemma for the sizes below the hit, a
@@ -29,7 +34,7 @@ from collections import Counter, deque
 from contextlib import closing
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
-from itertools import islice, permutations, product
+from itertools import islice, permutations, product, tee
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -43,10 +48,10 @@ DEFAULT_BUDGET = 10**8
 
 # Searches whose candidates times cells fall below this run in this process
 # whatever their parallelism: starting a pool costs more than they take.
-# Kernel work grows with both, and so does the crossover measured with two
-# workers on two cores: the pool lost at 25-51 M candidate cells ([4]^3 and
-# [8]^2 at size 4, [5]^2 at sizes 8 and 9) and won at 60 M and more ([3]^3
-# at size 8, [6]^2 at size 6, [13]^2 at size 3).
+# Kernel work grows with both, and so does the crossover measured in process
+# on min-time searches, two workers on two cores: the pool lost at 25-51 M
+# candidate cells ([4]^3 and [8]^2 at size 4, [5]^2 at sizes 8 and 9) and
+# won at 60 M and more ([3]^3 at size 8, [6]^2 at 6, [13]^2 at 3).
 _POOL_MIN_CELLS = 2**26
 
 
@@ -85,14 +90,15 @@ class SearchResult:
 def _kept(*shape: int) -> np.ndarray:
     """A ``uint64`` array of this shape kept for the process, for the last
     two shapes asked for: a search unit's planes and the working arrays of
-    its :func:`_rounds`.
+    the rounds that :func:`_times` reads off them.
 
     Past 128 KB (glibc's mmap threshold) fresh arrays come from new
     zero-filled pages: a fresh 320 KB planes array per unit made
     search-min-set on [200]^2 take 79 K minor page faults and 0.52 s of CPU
     instead of 1.4 K and 0.39 s (in process, 2-core host), and fresh
     working arrays doubled the rounds' time on lattices of a few hundred
-    cells.  Whoever takes one writes it before reading it.
+    cells.  Whoever takes one writes it before reading it.  The times that
+    :func:`_unit_times` returns are fresh arrays: they outlive the call.
     """
     return np.empty(shape, dtype=np.uint64)
 
@@ -100,10 +106,10 @@ def _kept(*shape: int) -> np.ndarray:
 def _rounds(spec: LatticeSpec, planes: np.ndarray) -> Iterator[np.ndarray]:
     """Update ``planes`` in place by synchronous rounds, yielding it after
     round 0 (the seeds), 1, 2, ... until no candidate changes; the last
-    state yielded is every candidate's closure.  Calls share their working
-    arrays (see :func:`_kept`), so a call must be done with (exhausted or
-    dropped) before the next one starts; every round writes them before it
-    reads them.
+    state yielded is every candidate's closure.  Its one reader is
+    :func:`_times`.  Calls share their working arrays (see :func:`_kept`),
+    so a call must be done with (exhausted or dropped) before the next one
+    starts; every round writes them before it reads them.
     """
     r = spec.r
     columns = neighbor_table(spec).T
@@ -141,11 +147,29 @@ def _bits(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), bitorder="little").astype(bool)
 
 
-def _percolating(spec: LatticeSpec, chunk: np.ndarray) -> np.ndarray:
-    """Bool mask of the chunk's candidates that percolate."""
-    for planes in _rounds(spec, _seed_planes(spec.size, chunk)):
-        pass
-    return _bits(_every(planes))[: len(chunk)]
+def _times(spec: LatticeSpec, planes: np.ndarray, limit: int | None = None) -> np.ndarray:
+    """One ``int32`` per bit of ``planes``: the first round in which every
+    cell of that candidate is infected, or -1 when that round is not below
+    ``limit``.  The rounds run to the closure for a limit of ``None``, and
+    to round ``limit - 1`` at most otherwise; the planes are updated in
+    place."""
+    times = np.full(64 * planes.shape[1], -1, dtype=np.int32)
+    full = np.zeros(planes.shape[1], dtype=np.uint64)
+    for t, state in enumerate(islice(_rounds(spec, planes), limit)):
+        # a full candidate stays full, so the bits that changed are new
+        now = _every(state)
+        new = now ^ full
+        if new.any():
+            times[_bits(new)] = t
+            full = now
+    return times
+
+
+def _unit_times(spec: LatticeSpec, limit: int | None, *bounds: int) -> np.ndarray:
+    """:func:`_times` of the work unit with these bounds, one entry per
+    candidate in colex order."""
+    unit = _Unit(spec.size, *bounds)
+    return _times(spec, unit.planes(_kept(spec.size, len(unit.valid))), limit)[_bits(unit.valid)]
 
 
 # -- counting up to symmetry -------------------------------------------------
@@ -362,17 +386,6 @@ def _search_parallelism(spec: LatticeSpec, candidates: int, parallelism: int) ->
     return parallelism if candidates * spec.size >= _POOL_MIN_CELLS else 1
 
 
-def _size_chunk(spec: LatticeSpec, *bounds: int) -> tuple[tuple[int, ...] | None, int]:
-    """First percolating candidate of the work unit with these bounds, and
-    the candidates tested up to and including it (all of them when none
-    percolates).
-    """
-    unit = _Unit(spec.size, *bounds)
-    for planes in _rounds(spec, unit.planes(_kept(spec.size, len(unit.valid)))):
-        pass
-    return unit.first(_every(planes))
-
-
 def min_percolating_size(
     spec: LatticeSpec,
     max_size: int,
@@ -403,14 +416,19 @@ def min_percolating_size(
     max_size = min(max_size, spec.size)
     sizes = _sizes_within_budget(spec.size, range(1, max_size + 1), budget)
     parallelism = _search_parallelism(spec, sum(comb(spec.size, k) for k in sizes), parallelism)
-    units = (unit for k in sizes for unit in _units(spec.size, k))
-    results = ordered_results(_size_chunk, ((spec, *unit) for unit in units), parallelism)
+    # tee holds only the units between submission and result
+    calls, units = tee(unit for k in sizes for unit in _units(spec.size, k))
+    results = ordered_results(_unit_times, ((spec, None, *unit) for unit in calls), parallelism)
     examined, hit = 0, None
     with closing(results):
-        for hit, count in results:
-            examined += count
-            if hit is not None:
+        for unit, times in zip(units, results):
+            (percolating,) = np.nonzero(times >= 0)
+            if len(percolating):
+                position = int(percolating[0])
+                examined += position + 1
+                hit = _Unit(spec.size, *unit).cells(position)
                 break
+            examined += len(times)
     below = len(sizes) if hit is None else len(hit) - 1  # sizes scanned in full
     if symmetry:
         rank = examined - sum(comb(spec.size, k) for k in range(1, below + 1))
@@ -428,25 +446,6 @@ def min_percolating_size(
             examined=examined,
         )
     return SearchResult("min_size", None, None, examined, True, symmetry)
-
-
-def _time_chunk(
-    spec: LatticeSpec, limit: int | None, *bounds: int
-) -> tuple[int | None, tuple[int, ...] | None, int, int]:
-    """Least full-infection time below ``limit`` in the work unit with these
-    bounds.
-
-    Returns (time, its first achiever, the achiever's position + 1, unit
-    length); time and achiever are None when no candidate beats ``limit``.
-    """
-    unit = _Unit(spec.size, *bounds)
-    for t, planes in enumerate(_rounds(spec, unit.planes(_kept(spec.size, len(unit.valid))))):
-        if limit is not None and t >= limit:
-            break
-        hit, position = unit.first(_every(planes))
-        if hit is not None:
-            return t, hit, position, unit.count
-    return None, None, unit.count, unit.count
 
 
 def min_percolation_time(
@@ -475,16 +474,20 @@ def min_percolation_time(
     examined = 0
     # the generator reads ``best`` as each call is submitted, so the limit
     # tightens with the results consumed so far
-    calls = ((spec, best, *unit) for unit in _units(spec.size, size))
-    results = ordered_results(_time_chunk, calls, _search_parallelism(spec, comb(spec.size, size), parallelism))
+    submitted, units = tee(_units(spec.size, size))
+    calls = ((spec, best, *unit) for unit in submitted)
+    results = ordered_results(_unit_times, calls, _search_parallelism(spec, comb(spec.size, size), parallelism))
     with closing(results):
-        for t, witness_idx, position, count in results:
-            if t is not None and (best is None or t < best):
-                best, best_witness = t, witness_idx
+        for unit, times in zip(units, results):
+            # as unsigned, -1 is the largest entry: argmin is the first least time, if any
+            position = int(np.argmin(times.view(np.uint32)))
+            t = int(times[position])
+            if t >= 0 and (best is None or t < best):
+                best, best_witness = t, _Unit(spec.size, *unit).cells(position)
                 if best == floor_time:
-                    examined += position
+                    examined += position + 1
                     break
-            examined += count
+            examined += len(times)
     if best is None:
         raise NoPercolatingSetError(
             f"no percolating set of size {size} in [{spec.n}]^{spec.d} ({spec.topology}, r={spec.r})"
@@ -503,8 +506,9 @@ def is_minimal(spec: LatticeSpec, cells: CellSet) -> bool:
     """
     _check_compatible(spec, cells)
     members = _index_array(cells)
-    if not _percolating(spec, members[None, :])[0]:
+    if _times(spec, _seed_planes(spec.size, members[None, :]))[0] < 0:
         raise ValueError("set does not percolate; minimality is undefined")
     m = len(members)
     removals = np.broadcast_to(members, (m, m))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
-    return not _percolating(spec, removals).any()
+    # the padding bits are empty sets, which never percolate
+    return not (_times(spec, _seed_planes(spec.size, removals)) >= 0).any()

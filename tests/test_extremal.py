@@ -81,8 +81,9 @@ def _indices(u):
 def _unit_rows(size, unit):
     """A work unit's candidates read off its seed planes (the valid bits'
     columns) as a (count, k) index array; checks that they equal the unit's
-    index rows, that the padding bits are clear, and that every bit of the
-    ``out`` array is written."""
+    index rows, that the padding bits are clear, that every bit of the
+    ``out`` array is written, and that the first and the last candidate of
+    each block, unranked alone by ``_Unit.cells``, equal their rows."""
     k = unit[0]
     u = _Unit(size, *unit)
     assert len(u.valid) <= max(1, min(colex._CHUNK_WORDS, colex._CHUNK_CELLS // (64 * max(size, 1))))
@@ -93,8 +94,11 @@ def _unit_rows(size, unit):
     valid = np.unpackbits(u.valid.view(np.uint8), bitorder="little").astype(bool)
     cells = np.unpackbits(planes.view(np.uint8), axis=1, bitorder="little")[:, valid]
     assert (cells.sum(axis=0) == k).all()
-    rows = np.nonzero(cells.T)[1].reshape(u.count, k)
+    rows = np.nonzero(cells.T)[1].reshape(int(valid.sum()), k)
     assert rows.tolist() == _indices(u).tolist()
+    ends = np.cumsum(u.hi - u.lo)
+    for p in {*(ends - (u.hi - u.lo)).tolist(), *(ends - 1).tolist()}:
+        assert u.cells(p) == tuple(rows[p].tolist()), (size, unit, p)
     return rows
 
 
@@ -116,6 +120,8 @@ def test_colex_chunks_concatenate_to_colex_order(monkeypatch, words):
             assert all(len(part) for part in parts)
             assert np.vstack(parts).tolist() == [list(c) for c in _colex(size, k)]
         assert list(_units(3, 4)) == []
+    # one-word units start mid-block, so _unit_rows unranked cut blocks too
+    assert words > 1 or any(first for _, _, first, _, _ in _units(12, 5))
 
 
 def test_low_size_and_table_bounds():
@@ -169,8 +175,9 @@ def test_colex_chunks_on_large_lattices(monkeypatch):
     rows = np.vstack([_indices(part) for part in parts])
     assert rows.tolist() == [list(c) for c in _colex(1300, 2)]
     # the planes of the first and the last unit hold the same rows
-    assert _unit_rows(1300, units[0]).tolist() == rows[: parts[0].count].tolist()
-    assert _unit_rows(1300, units[-1]).tolist() == rows[-parts[-1].count :].tolist()
+    first, last = _unit_rows(1300, units[0]), _unit_rows(1300, units[-1])
+    assert first.tolist() == rows[: len(first)].tolist()
+    assert last.tolist() == rows[-len(last) :].tolist()
     # no depth of recursion grows with k: the (size - 1)-subsets over many
     # units, where row i leaves out cell size - 1 - i
     monkeypatch.setattr(colex, "_CHUNK_WORDS", 1)
@@ -193,7 +200,7 @@ def test_colex_chunk_is_any_slice_of_colex_order(data):
         units = list(_units(size, k))
         a = data.draw(st.integers(min_value=0, max_value=len(units)))
         b = data.draw(st.integers(min_value=a, max_value=len(units)))
-        start = sum(_Unit(size, *unit).count for unit in units[:a])
+        start = sum(len(_indices(_Unit(size, *unit))) for unit in units[:a])
         rows = [tuple(row) for unit in units[a:b] for row in _unit_rows(size, unit).tolist()]
     assert rows == _colex(size, k)[start : start + len(rows)]
     assert b < len(units) or start + len(rows) == comb(size, k)
@@ -229,11 +236,21 @@ def _random_chunk(rng, size, k, count):
 
 
 def _assert_kernel_matches_engine(spec, chunk):
+    # the planes read round by round, and extremal._times, against run:
+    # the time where the set percolates, -1 where it does not, and -1 for
+    # every time that is not below a limit
     closures, times = _batch_closures_and_times(spec, chunk)
+    expected = []
     for row, bits, t in zip(chunk.tolist(), closures, times):
         record = run(spec, CellSet.from_indices(spec.d, spec.n, row))
         assert bits == record.closure().bits, (spec, row)
         assert t == (record.T if record.percolates else None), (spec, row)
+        expected.append(record.T if record.percolates else -1)
+    planes = _seed_planes(spec.size, chunk)
+    assert extremal._times(spec, planes.copy())[: len(chunk)].tolist() == expected, spec
+    limit = max(0, *expected)  # drops the slowest sets; 0 drops every one
+    limited = extremal._times(spec, planes, limit)[: len(chunk)].tolist()
+    assert limited == [t if t < limit else -1 for t in expected], spec
 
 
 def test_bitmask_closure_matches_engine():
@@ -303,7 +320,7 @@ def _percolating_count(spec, k):
         u = _Unit(spec.size, *unit)
         for planes in _rounds(spec, u.planes(np.empty((spec.size, len(u.valid)), dtype=np.uint64))):
             assert not (planes & ~u.valid).any()
-        total += u.count
+        total += int(np.unpackbits(u.valid.view(np.uint8)).sum())
         found += int(np.unpackbits(_every(planes).view(np.uint8)).sum())
     return total, found
 
