@@ -22,9 +22,10 @@ _EXPORTS = {
                  "write_record_json"),
     "experiments": ("SeparationReport", "SweepRow", "SweepTable", "sweep_time", "verify_separation",
                     "verify_strip_fill"),
-    "extremal": ("BudgetExceededError", "NoPercolatingSetError", "SearchResult", "is_minimal",
-                 "min_percolating_size", "min_percolation_time"),
-    "lattice": ("Cell", "LatticeSpec", "Topology", "iter_level_cells", "neighbors"),
+    "extremal": ("SearchResult", "is_minimal", "min_percolating_size", "min_percolation_time"),
+    # the two errors live in lattice, which every command loads; extremal re-exports them
+    "lattice": ("BudgetExceededError", "Cell", "LatticeSpec", "NoPercolatingSetError", "Topology",
+                "iter_level_cells", "neighbors"),
     "witness": ("StripContext", "WitnessCycleError", "WitnessDag", "WitnessNode", "build_witness",
                 "coordinate_sum_above", "infectors", "iter_strip_cells", "level_offset", "max_depth_bound",
                 "squared_coordinate_sum", "write_witness_json"),

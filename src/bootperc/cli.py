@@ -10,6 +10,7 @@ when --budget is not given.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -21,17 +22,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .constructions import CONSTRUCTIONS, build_construction
+# Only the modules every command runs load here; each command imports the
+# rest where it runs, so a simulation never compiles the searches.
+from .constructions import CONSTRUCTIONS, SWEEP_CONSTRUCTIONS, build_construction
 from .dynamics import CellSet, RunRecord, run, write_record_json
-from .experiments import SWEEP_CONSTRUCTIONS, sweep_time, verify_separation, verify_strip_fill
-from .extremal import (
-    BudgetExceededError,
-    NoPercolatingSetError,
-    min_percolating_size,
-    min_percolation_time,
-)
-from .lattice import LatticeSpec, coordinates
-from .witness import StripContext, build_witness, write_witness_json
+from .lattice import BudgetExceededError, LatticeSpec, NoPercolatingSetError, coordinates
 
 BUDGET_ENV_VAR = "BOOTPERC_BUDGET"
 
@@ -159,6 +154,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
+    from .witness import StripContext, build_witness, write_witness_json
+
     ctx = StripContext(args.d, args.n, args.s)
     dag = build_witness(args.cell, ctx)
     if args.format == "json":
@@ -175,6 +172,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_search_min_set(args: argparse.Namespace) -> int:
+    from .extremal import min_percolating_size
+
     spec = _spec_from(args)
     max_size = args.max_size if args.max_size is not None else spec.size
     result = min_percolating_size(
@@ -194,6 +193,8 @@ def cmd_search_min_set(args: argparse.Namespace) -> int:
 
 
 def cmd_search_min_time(args: argparse.Namespace) -> int:
+    from .extremal import min_percolation_time
+
     spec = _spec_from(args)
     result = min_percolation_time(
         spec, args.size, budget=_resolve_budget(args), parallelism=args.parallelism
@@ -206,6 +207,8 @@ def cmd_search_min_time(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .experiments import sweep_time
+
     table = sweep_time(args.d, args.n_range, args.construction, parallelism=args.parallelism)
     if args.format == "json":
         _emit(json.dumps(table.to_json_dict(), indent=2))
@@ -215,6 +218,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .experiments import verify_separation, verify_strip_fill
+
     if args.check == "strip-fill":
         if args.s is None:
             raise ValueError("verify --check strip-fill requires --s")
@@ -348,6 +353,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
+    # The objects that the imports made (numpy's and the loaded modules',
+    # about 22,000) live until the process ends.  Frozen, they are left out
+    # of every later full collection, interpreter teardown's included.
+    # Only this entry point freezes: a library caller or an in-process
+    # main() keeps the usual collector.
+    gc.freeze()
     sys.exit(main())
 
 

@@ -15,6 +15,8 @@ from .dynamics import CellSet
 from .lattice import face_codes, levels
 
 CONSTRUCTIONS = ("hyperplanes", "shifted", "diagonal2d", "boundary", "torus3")
+# the constructions defined on [n]^d for every d, which a sweep accepts
+SWEEP_CONSTRUCTIONS = ("hyperplanes", "shifted", "boundary")
 
 
 def level_set(d: int, n: int, k: int) -> CellSet:

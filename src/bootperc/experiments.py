@@ -11,13 +11,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .constructions import build_construction
+from .constructions import SWEEP_CONSTRUCTIONS, build_construction
 from .dynamics import CellSet, _infect, run
-from .extremal import BudgetExceededError, ordered_results
-from .lattice import LatticeSpec, face_codes, levels
-from .witness import StripContext
-
-SWEEP_CONSTRUCTIONS = ("hyperplanes", "shifted", "boundary")
+from .lattice import BudgetExceededError, LatticeSpec, face_codes, levels
 
 # cap on n**d for a single sweep run; large d=5 campaigns must raise it explicitly
 DEFAULT_CELL_BUDGET = 1 << 23
@@ -32,6 +28,8 @@ def verify_strip_fill(d: int, n: int, s: int) -> bool:
     and is empty, so the check extends downward: every level from d up to
     s*n - 1 must fill.
     """
+    from .witness import StripContext  # imported here: no other campaign reads strips
+
     ctx = StripContext(d, n, s)  # validates the (d, n, s) combination
     level = levels(d, n)
     seeds = CellSet._from_mask(d, n, (level == ctx.lower_level) | (level == ctx.upper_level))
@@ -239,5 +237,12 @@ def sweep_time(
     for n in ns[first:first + 1]:
         raise BudgetExceededError(f"n={n} needs {n**d} cells, over the cell budget of {cell_budget}")
     calls = ((d, batch, construction) for batch in _batches(d, ns, min(_BATCH_CELLS, cell_budget)))
-    rows = list(chain.from_iterable(ordered_results(_sweep_batch, calls, parallelism)))
+    if parallelism > 1:
+        # imported here so that a serial sweep never loads the searches
+        from .extremal import ordered_results
+
+        batches = ordered_results(_sweep_batch, calls, parallelism)
+    else:
+        batches = (_sweep_batch(*call) for call in calls)
+    rows = list(chain.from_iterable(batches))
     return SweepTable(d=d, construction=construction, rows=rows, fit=_quadratic_fit(rows))

@@ -42,7 +42,7 @@ import numpy as np
 
 from .colex import _seed_planes, _Unit, _units
 from .dynamics import CellSet, _check_compatible, _index_array, run
-from .lattice import LATTICE_CACHE_SIZE, LatticeSpec, neighbor_table
+from .lattice import LATTICE_CACHE_SIZE, BudgetExceededError, LatticeSpec, NoPercolatingSetError, neighbor_table
 
 DEFAULT_BUDGET = 10**8
 
@@ -53,18 +53,6 @@ DEFAULT_BUDGET = 10**8
 # candidate cells ([4]^3 and [8]^2 at size 4, [5]^2 at sizes 8 and 9) and
 # won at 60 M and more ([3]^3 at size 8, [6]^2 at 6, [13]^2 at 3).
 _POOL_MIN_CELLS = 2**26
-
-
-class BudgetExceededError(RuntimeError):
-    """A search would exceed (or exceeded) its candidate budget."""
-
-    def __init__(self, message: str, examined: int = 0):
-        super().__init__(message)
-        self.examined = examined
-
-
-class NoPercolatingSetError(ValueError):
-    """No percolating set exists under the stated constraint (a domain negative)."""
 
 
 @dataclass

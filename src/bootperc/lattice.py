@@ -40,6 +40,21 @@ MAX_CELLS = 2**31
 LATTICE_CACHE_SIZE = 4
 
 
+# The two errors the CLI maps to exit codes 3 and 1.  They live here, in a
+# module every command loads, so that the CLI catches them without loading
+# the searches; bootperc.extremal, which raises them, re-exports both.
+class BudgetExceededError(RuntimeError):
+    """A search would exceed (or exceeded) its candidate budget."""
+
+    def __init__(self, message: str, examined: int = 0):
+        super().__init__(message)
+        self.examined = examined
+
+
+class NoPercolatingSetError(ValueError):
+    """No percolating set exists under the stated constraint (a domain negative)."""
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Lattice geometry plus infection threshold.

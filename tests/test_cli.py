@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import bootperc
+from bootperc import cli
 from bootperc.cli import main
 from bootperc.dynamics import run
 from bootperc.constructions import diagonal, hyperplane_union
@@ -19,6 +21,12 @@ def invoke(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _src_env() -> dict:
+    """This process's environment, with the tested package first on PYTHONPATH."""
+    src = str(Path(bootperc.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_simulate_reference_run(capsys):
@@ -111,13 +119,16 @@ def test_simulate_bad_initial_file_message(tmp_path, capsys, content, stderr):
     assert (code, out, err) == (2, "", stderr)
 
 
+# the bootperc modules that `import bootperc.cli` loads: those that every command runs
+CLI_MODULES = ["bootperc.constructions", "bootperc.dynamics", "bootperc.lattice"]
+
+
 def test_cli_import_loads_no_pool_modules():
     # the process pool's modules load only when a search or sweep starts a
     # pool, whichever entry point is imported (each in a fresh process); the
     # package alone loads neither numpy nor any of its own submodules, and
     # bootperc.colex, which exports no name, still resolves on first use
-    src = str(Path(bootperc.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _src_env()
     for module in ("bootperc", "bootperc.cli", "bootperc.experiments"):
         code = (
             f"import sys, {module}; "
@@ -129,8 +140,57 @@ def test_cli_import_loads_no_pool_modules():
         assert result.returncode == 0, result.stderr
         pool, loaded, colex = result.stdout.splitlines()
         assert (pool, colex) == ("[]", "True"), module
-        if module == "bootperc":
-            assert loaded == "[]"
+        expected = {"bootperc": [], "bootperc.cli": [*CLI_MODULES, "bootperc.cli", "numpy"],
+                    "bootperc.experiments": [*CLI_MODULES, "bootperc.experiments", "numpy"]}[module]
+        assert loaded == str(sorted(expected)), module
+
+
+# the bootperc modules beyond CLI_MODULES that each command loads
+COMMAND_MODULES = [
+    ("simulate --construction hyperplanes --d 2 --n 3", []),
+    ("construct --construction hyperplanes --d 2 --n 3", []),
+    ("witness --d 3 --n 5 --s 2 --cell 4,2,2", ["witness"]),
+    ("search-min-set --d 2 --n 3", ["colex", "extremal"]),
+    ("search-min-time --d 2 --n 3 --size 3", ["colex", "extremal"]),
+    ("sweep --construction hyperplanes --d 2 --n-range 3:6", ["experiments"]),
+    # only a sweep that starts a pool reads the searches' ordered_results
+    ("sweep --construction hyperplanes --d 2 --n-range 3:6 --parallelism 2", ["colex", "experiments", "extremal"]),
+    ("verify --check strip-fill --d 3 --n 6 --s 2", ["experiments", "witness"]),
+    ("verify --check separation --d 3 --n 6", ["experiments"]),
+]
+
+
+@pytest.mark.parametrize("argv, extra", COMMAND_MODULES, ids=[argv.split()[0] for argv, _ in COMMAND_MODULES])
+def test_each_command_loads_only_its_modules(argv, extra):
+    # the command runs in a fresh process as `python -m bootperc.cli` runs
+    # it, through console_main, and the modules are listed as it exits
+    code = (
+        "import atexit, runpy, sys; "
+        "atexit.register(lambda: print(sorted(m for m in sys.modules if m.startswith('bootperc.')), file=sys.stderr)); "
+        "runpy.run_module('bootperc.cli', run_name='__main__', alter_sys=True)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv.split()], env=_src_env(), capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = result.stderr.splitlines()[-1]
+    assert loaded == str(sorted(CLI_MODULES + [f"bootperc.{m}" for m in extra]))
+
+
+def test_console_main_freezes_the_startup_heap(monkeypatch, capsys):
+    # main() run in process, as by a library caller or these tests, freezes nothing
+    assert gc.get_freeze_count() == 0
+    assert invoke(capsys, "construct", "--d", "2", "--n", "3", "--construction", "hyperplanes")[0] == 0
+    assert gc.get_freeze_count() == 0
+    # the entry point has frozen the objects made so far when main() starts
+    frozen = []
+    monkeypatch.setattr(cli, "main", lambda: frozen.append(gc.get_freeze_count()) or 0)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.console_main()
+    finally:
+        gc.unfreeze()
+    assert exc.value.code == 0 and frozen[0] > 0
 
 
 @pytest.mark.parametrize(
@@ -144,8 +204,7 @@ def test_engine_paths_never_load_numpy_ma(argv):
     # went 33.0 -> 34.5 MB with one such call per round; a run and a sweep,
     # each in a fresh process, load it only if importing numpy did (numpy 1
     # imports numpy.ma with the package, numpy 2 on first use)
-    src = str(Path(bootperc.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _src_env()
     code = (
         "import sys, bootperc.cli, numpy; before = 'numpy.ma' in sys.modules; "
         "print(bootperc.cli.main(sys.argv[1:]), before, 'numpy.ma' in sys.modules)"
@@ -161,8 +220,7 @@ def test_engine_paths_never_load_numpy_ma(argv):
 def test_closed_stdout_exits_141_quietly():
     # the reader takes one byte and closes the pipe, far ahead of the
     # document's end; the CLI drops the rest and prints nothing to stderr
-    src = str(Path(bootperc.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _src_env()
     argv = "simulate --construction hyperplanes --d 3 --n 20 --trace --audit --format json".split()
     proc = subprocess.Popen(
         [sys.executable, "-m", "bootperc.cli", *argv],
@@ -179,8 +237,7 @@ def test_closed_stdout_exits_141_quietly():
 def test_cli_import_starts_no_blas_thread():
     # the CLI asks for one OpenBLAS thread before numpy loads, so the process
     # keeps its one thread; a number the user set is left as it is
-    src = str(Path(bootperc.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _src_env()
     code = "import os, bootperc.cli; print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
 
     def threads_and_setting():
