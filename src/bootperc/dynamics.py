@@ -15,13 +15,17 @@ The perimeter of a set counts lattice edges between a member cell and any
 non-member vertex of the infinite lattice Z^d, i.e. boundary cells also pay
 for their missing off-grid neighbours.  It is therefore defined for the grid
 topology only.
+
+``ordered_results`` is the one in-order process pool, shared by the
+searches and the sweeps.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -587,3 +591,32 @@ def perimeter(spec: LatticeSpec, cells: CellSet) -> int:
         raise ValueError("perimeter is defined for the grid topology only")
     _check_compatible(spec, cells)
     return _perimeters(spec, cells._mask().astype(np.int8) - 1, 0)[0]
+
+
+def ordered_results(work: Callable, calls: Iterable[tuple], parallelism: int) -> Iterator:
+    """``work(*call)`` for every call, yielded in call order.
+
+    ``calls`` is read lazily, one call as it is submitted, so a generator
+    may build later calls from the results consumed so far.  With
+    ``parallelism > 1`` calls run in a process pool with a bounded number
+    in flight; closing the generator (the caller found what it wanted)
+    cancels pending calls and shuts the pool down.
+    """
+    if parallelism <= 1:
+        for call in calls:
+            yield work(*call)
+        return
+    # imported here so that a process which starts no pool never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=parallelism)
+    try:
+        in_flight: deque = deque()
+        for call in calls:
+            in_flight.append(pool.submit(work, *call))
+            if len(in_flight) > 2 * parallelism:
+                yield in_flight.popleft().result()
+        while in_flight:
+            yield in_flight.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

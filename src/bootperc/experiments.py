@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .constructions import SWEEP_CONSTRUCTIONS, build_construction
-from .dynamics import CellSet, _infect, run
+from .dynamics import CellSet, _infect, ordered_results, run
 from .lattice import BudgetExceededError, LatticeSpec, face_codes, levels
 
 # cap on n**d for a single sweep run; large d=5 campaigns must raise it explicitly
@@ -237,12 +237,5 @@ def sweep_time(
     for n in ns[first:first + 1]:
         raise BudgetExceededError(f"n={n} needs {n**d} cells, over the cell budget of {cell_budget}")
     calls = ((d, batch, construction) for batch in _batches(d, ns, min(_BATCH_CELLS, cell_budget)))
-    if parallelism > 1:
-        # imported here so that a serial sweep never loads the searches
-        from .extremal import ordered_results
-
-        batches = ordered_results(_sweep_batch, calls, parallelism)
-    else:
-        batches = (_sweep_batch(*call) for call in calls)
-    rows = list(chain.from_iterable(batches))
+    rows = list(chain.from_iterable(ordered_results(_sweep_batch, calls, parallelism)))
     return SweepTable(d=d, construction=construction, rows=rows, fit=_quadratic_fit(rows))

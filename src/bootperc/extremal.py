@@ -30,7 +30,7 @@ bit-sliced canonicality test on the seed planes at it.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .colex import _seed_planes, _Unit, _units
-from .dynamics import CellSet, _check_compatible, _index_array, run
+from .dynamics import CellSet, _check_compatible, _index_array, ordered_results, run
 from .lattice import LATTICE_CACHE_SIZE, BudgetExceededError, LatticeSpec, NoPercolatingSetError, neighbor_table
 
 DEFAULT_BUDGET = 10**8
@@ -338,35 +338,6 @@ def _revalidate_percolation(spec: LatticeSpec, witness: CellSet, expect_time: in
         raise RuntimeError(
             f"internal check failed: witness time {record.T} != search result {expect_time}"
         )
-
-
-def ordered_results(work: Callable, calls: Iterable[tuple], parallelism: int) -> Iterator:
-    """``work(*call)`` for every call, yielded in call order.
-
-    ``calls`` is read lazily, one call as it is submitted, so a generator
-    may build later calls from the results consumed so far.  With
-    ``parallelism > 1`` calls run in a process pool with a bounded number
-    in flight; closing the generator (the caller found what it wanted)
-    cancels pending calls and shuts the pool down.
-    """
-    if parallelism <= 1:
-        for call in calls:
-            yield work(*call)
-        return
-    # imported here so that a process which starts no pool never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(max_workers=parallelism)
-    try:
-        in_flight: deque = deque()
-        for call in calls:
-            in_flight.append(pool.submit(work, *call))
-            if len(in_flight) > 2 * parallelism:
-                yield in_flight.popleft().result()
-        while in_flight:
-            yield in_flight.popleft().result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _search_parallelism(spec: LatticeSpec, candidates: int, parallelism: int) -> int:

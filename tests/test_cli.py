@@ -153,8 +153,8 @@ COMMAND_MODULES = [
     ("search-min-set --d 2 --n 3", ["colex", "extremal"]),
     ("search-min-time --d 2 --n 3 --size 3", ["colex", "extremal"]),
     ("sweep --construction hyperplanes --d 2 --n-range 3:6", ["experiments"]),
-    # only a sweep that starts a pool reads the searches' ordered_results
-    ("sweep --construction hyperplanes --d 2 --n-range 3:6 --parallelism 2", ["colex", "experiments", "extremal"]),
+    # a sweep that starts a pool loads no search either: the pool lives in dynamics
+    ("sweep --construction hyperplanes --d 2 --n-range 3:6 --parallelism 2", ["experiments"]),
     ("verify --check strip-fill --d 3 --n 6 --s 2", ["experiments", "witness"]),
     ("verify --check separation --d 3 --n 6", ["experiments"]),
 ]

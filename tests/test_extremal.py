@@ -194,11 +194,12 @@ def test_colex_chunks_on_large_lattices(monkeypatch):
 def test_colex_chunk_is_any_slice_of_colex_order(data):
     size = data.draw(st.integers(min_value=0, max_value=16))
     k = data.draw(st.integers(min_value=0, max_value=size))
-    # a cap 1 to 3 words per cell below T_k's: when T_k has more than one
-    # word per cell it overflows the cap, so units are colex blocks below
-    # top parts (j < k), and from 3 words on a unit of 2 or more words
-    # spans several blocks
-    below = data.draw(st.integers(min_value=1, max_value=3))
+    # a cap 0 to 3 words per cell below T_k's: at 0 the whole T_k fits
+    # (j = k, as under the shipped cap) and units are slices of its one
+    # block; below it, when T_k has more than one word per cell it
+    # overflows the cap, so units are colex blocks below top parts (j < k),
+    # and from 3 words on a unit of 2 or more words spans several blocks
+    below = data.draw(st.integers(min_value=0, max_value=3))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(colex, "_CHUNK_CELLS", 64 * max(size, 1) * max(1, -(-comb(size, k) // 64) - below))
         patch.setattr(colex, "_CHUNK_WORDS", data.draw(st.integers(min_value=1, max_value=4)))
