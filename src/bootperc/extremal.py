@@ -18,14 +18,15 @@ unranked one candidate at a time.  Whoever tests a unit (this process or a
 pool worker) copies it itself, so units can be tested in any process as
 long as their results are read back in order.  Every search reads the
 kernel the same way: each candidate's percolation time, or -1 when it does
-not percolate below a limit, one array per unit in colex order.  Searches
-differ only in how they reduce those arrays: the first percolating entry
-(smallest size), the first least entry (least time), any percolating entry
-among the single removals (minimality).  Every returned witness is
-re-validated with an independent engine run before the result is handed
-back.  A search up to symmetry runs the same units and only counts its
-candidates differently: Burnside's lemma for the sizes below the hit, a
-bit-sliced canonicality test on the seed planes at it.
+not percolate below a limit.  Whoever tests a unit reduces its times to a
+summary of a few ints (:func:`_unit_summary`), and searches read only the
+summaries: the first percolating position (smallest size), or the least
+time and its first position (least time); minimality asks whether any
+single removal percolates.  Every returned witness is re-validated with an
+independent engine run before the result is handed back.  A search up to
+symmetry runs the same units and only counts its candidates differently:
+Burnside's lemma for the sizes below the hit, a bit-sliced canonicality
+test on the seed planes at it, each unit's count made where it is tested.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
-from itertools import islice, permutations, product, tee
+from itertools import chain, islice, permutations, product, takewhile
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -46,12 +47,14 @@ from .lattice import LATTICE_CACHE_SIZE, BudgetExceededError, LatticeSpec, NoPer
 
 DEFAULT_BUDGET = 10**8
 
-# Searches whose candidates times cells fall below this run in this process
-# whatever their parallelism: starting a pool costs more than they take.
-# Kernel work grows with both, and so does the crossover measured in process
-# on min-time searches, two workers on two cores: the pool lost at 25-51 M
-# candidate cells ([4]^3 and [8]^2 at size 4, [5]^2 at sizes 8 and 9) and
-# won at 60 M and more ([3]^3 at size 8, [6]^2 at 6, [13]^2 at 3).
+# Searches whose candidates times cells (the kernel's work) fall below this
+# run in this process whatever their parallelism: starting a pool costs more
+# than they take.  Measured in process on min-time searches, two workers on
+# two cores, the pool lost up to 51 M candidate cells.  As CLI jobs on that
+# host, one process / two workers, medians of 10 and of 12 interleaved runs,
+# it still loses just past this: min-time on [6]^2 at size 6 (70.1 M) 0.42 /
+# 0.45 and 0.34 / 0.42 s, min-size on [6]^2 up to 6 (86.1 M) 0.36 / 0.40 and
+# 0.45 / 0.48 s; min-size on [3]^3 up to 9 (221 M) 0.62 / 0.60 and 0.70 / 0.59 s.
 _POOL_MIN_CELLS = 2**26
 
 
@@ -86,7 +89,7 @@ def _kept(*shape: int) -> np.ndarray:
     instead of 1.4 K and 0.39 s (in process, 2-core host), and fresh
     working arrays doubled the rounds' time on lattices of a few hundred
     cells.  Whoever takes one writes it before reading it.  The times that
-    :func:`_unit_times` returns are fresh arrays: they outlive the call.
+    :func:`_times` returns are fresh arrays: they outlive the call.
     """
     return np.empty(shape, dtype=np.uint64)
 
@@ -153,11 +156,20 @@ def _times(spec: LatticeSpec, planes: np.ndarray, limit: int | None = None) -> n
     return times
 
 
-def _unit_times(spec: LatticeSpec, limit: int | None, *bounds: int) -> np.ndarray:
-    """:func:`_times` of the work unit with these bounds, one entry per
-    candidate in colex order."""
+def _unit_summary(spec: LatticeSpec, limit: int | None, *bounds: int) -> tuple:
+    """The :func:`_times` of the work unit with these bounds, reduced where
+    the unit is tested: ``(bounds, candidates, first, least, at)``, with
+    ``first`` the colex position of the first entry >= 0, ``least`` the
+    least entry >= 0 and ``at`` the first position holding it, each -1
+    when no entry is >= 0."""
     unit = _Unit(spec.size, *bounds)
-    return _times(spec, unit.planes(_kept(spec.size, len(unit.valid))), limit)[_bits(unit.valid)]
+    times = _times(spec, unit.planes(_kept(spec.size, len(unit.valid))), limit)[_bits(unit.valid)]
+    percolating = times >= 0
+    if not percolating.any():
+        return bounds, len(times), -1, -1, -1
+    # as unsigned, -1 is the largest entry: argmin is the first least time
+    at = int(np.argmin(times.view(np.uint32)))
+    return bounds, len(times), int(np.argmax(percolating)), int(times[at]), at
 
 
 # -- counting up to symmetry -------------------------------------------------
@@ -291,18 +303,10 @@ def _canonical_flags(spec: LatticeSpec, *bounds: int) -> np.ndarray:
     return flags[_bits(unit.valid)]
 
 
-def _canonical_prefix(spec: LatticeSpec, k: int, rank: int, parallelism: int) -> int:
-    """Canonical candidates among the first ``rank`` k-sets in colex order."""
-    calls = ((spec, *unit) for unit in _units(spec.size, k))
-    results = ordered_results(_canonical_flags, calls, parallelism)
-    count = 0
-    with closing(results):
-        for flags in results:
-            count += int(flags[:rank].sum())
-            rank -= len(flags)
-            if rank <= 0:
-                break
-    return count
+def _canonical_count(spec: LatticeSpec, stop: int | None, *bounds: int) -> int:
+    """Canonical candidates among the first ``stop`` (all for ``None``) of
+    the work unit with these bounds."""
+    return int(_canonical_flags(spec, *bounds)[:stop].sum())
 
 
 # -- searches ----------------------------------------------------------------
@@ -375,25 +379,24 @@ def min_percolating_size(
     max_size = min(max_size, spec.size)
     sizes = _sizes_within_budget(spec.size, range(1, max_size + 1), budget)
     parallelism = _search_parallelism(spec, sum(comb(spec.size, k) for k in sizes), parallelism)
-    # tee holds only the units between submission and result
-    calls, units = tee(unit for k in sizes for unit in _units(spec.size, k))
-    results = ordered_results(_unit_times, ((spec, None, *unit) for unit in calls), parallelism)
+    calls = ((spec, None, *unit) for k in sizes for unit in _units(spec.size, k))
+    results = ordered_results(_unit_summary, calls, parallelism)
     examined, hit = 0, None
     with closing(results):
-        for unit, times in zip(units, results):
-            (percolating,) = np.nonzero(times >= 0)
-            if len(percolating):
-                position = int(percolating[0])
-                examined += position + 1
-                hit = _Unit(spec.size, *unit).cells(position)
+        for bounds, candidates, first, _, _ in results:
+            if first >= 0:
+                examined += first + 1
+                hit = _Unit(spec.size, *bounds).cells(first)
                 break
-            examined += len(times)
+            examined += candidates
     below = len(sizes) if hit is None else len(hit) - 1  # sizes scanned in full
     if symmetry:
-        rank = examined - sum(comb(spec.size, k) for k in range(1, below + 1))
         examined = sum(_orbit_counts(spec, below)[1:])
         if hit is not None:
-            examined += _canonical_prefix(spec, len(hit), rank, parallelism)
+            # the hit size: the units before the hit's, then its own up to the witness
+            units = takewhile(lambda unit: unit != bounds, _units(spec.size, len(hit)))
+            calls = chain(((spec, None, *unit) for unit in units), [(spec, first + 1, *bounds)])
+            examined += sum(ordered_results(_canonical_count, calls, parallelism))
     if hit is not None:
         witness = CellSet.from_indices(spec.d, spec.n, hit)
         _revalidate_percolation(spec, witness)
@@ -433,20 +436,16 @@ def min_percolation_time(
     examined = 0
     # the generator reads ``best`` as each call is submitted, so the limit
     # tightens with the results consumed so far
-    submitted, units = tee(_units(spec.size, size))
-    calls = ((spec, best, *unit) for unit in submitted)
-    results = ordered_results(_unit_times, calls, _search_parallelism(spec, comb(spec.size, size), parallelism))
+    calls = ((spec, best, *unit) for unit in _units(spec.size, size))
+    results = ordered_results(_unit_summary, calls, _search_parallelism(spec, comb(spec.size, size), parallelism))
     with closing(results):
-        for unit, times in zip(units, results):
-            # as unsigned, -1 is the largest entry: argmin is the first least time, if any
-            position = int(np.argmin(times.view(np.uint32)))
-            t = int(times[position])
-            if t >= 0 and (best is None or t < best):
-                best, best_witness = t, _Unit(spec.size, *unit).cells(position)
+        for bounds, candidates, _, least, at in results:
+            if least >= 0 and (best is None or least < best):
+                best, best_witness = least, _Unit(spec.size, *bounds).cells(at)
                 if best == floor_time:
-                    examined += position + 1
+                    examined += at + 1
                     break
-            examined += len(times)
+            examined += candidates
     if best is None:
         raise NoPercolatingSetError(
             f"no percolating set of size {size} in [{spec.n}]^{spec.d} ({spec.topology}, r={spec.r})"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import multiprocessing
+import pickle
 import random
 import re
 import tracemalloc
@@ -20,7 +21,7 @@ from bootperc.colex import (
     _units,
 )
 from bootperc.constructions import diagonal, hyperplane_union
-from bootperc.dynamics import CellSet, closure, run
+from bootperc.dynamics import CellSet, closure, ordered_results, run
 from bootperc.extremal import (
     BudgetExceededError,
     NoPercolatingSetError,
@@ -342,6 +343,40 @@ def test_percolating_nine_subsets_of_the_cube():
         assert _percolating_count(LatticeSpec(3, 3, topology, 6), 6) == (comb(27, 6), 0)
 
 
+def _reduced_times(spec, unit, limit):
+    """``extremal._unit_summary`` recomputed in Python from the
+    ``extremal._times`` of the unit's planes, one entry per valid bit."""
+    u = _Unit(spec.size, *unit)
+    times = extremal._times(spec, u.planes(np.empty((spec.size, len(u.valid)), dtype=np.uint64)), limit)
+    valid = np.unpackbits(u.valid.view(np.uint8), bitorder="little").astype(bool)
+    times = times[valid].tolist()
+    percolating = [p for p, t in enumerate(times) if t >= 0]
+    if not percolating:
+        return unit, len(times), -1, -1, -1
+    least = min(times[p] for p in percolating)
+    return unit, len(times), percolating[0], least, times.index(least)
+
+
+@pytest.mark.parametrize("topology", ["grid", "torus"])
+def test_unit_summary_matches_a_reduction_of_times(topology):
+    # random units of every size, several r, with and without a limit; the
+    # draws include units where nothing percolates and units whose first
+    # percolating candidate is not their first least one
+    rng = random.Random(14)
+    specs = [LatticeSpec(2, 5, topology, r) for r in (1, 2, 3, 4)] + [LatticeSpec(3, 3, topology, r) for r in (2, 3)]
+    kinds = set()
+    for spec in specs:
+        for k in rng.sample(range(1, spec.size + 1), 4):
+            units = list(_units(spec.size, k))
+            for unit in rng.sample(units, min(2, len(units))):
+                limit = rng.choice([None, None, 0, 1, 3, 6])
+                summary = extremal._unit_summary(spec, limit, *unit)
+                assert summary == _reduced_times(spec, unit, limit), (spec, unit, limit)
+                _, _, first, _, at = summary
+                kinds.add("none" if first < 0 else "first is least" if first == at else "later least")
+    assert kinds == {"none", "first is least", "later least"}
+
+
 # -- min_percolating_size --------------------------------------------------------
 
 
@@ -660,6 +695,33 @@ def test_parallel_search_over_many_chunks_matches_serial(monkeypatch, search):
     monkeypatch.setattr(extremal, "_POOL_MIN_CELLS", 0)
     assert search(2) == search(1)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "search,works",
+    [
+        (lambda: min_percolating_size(LatticeSpec(3, 3), 9), 1),
+        (lambda: min_percolation_time(LatticeSpec(2, 5), 6), 1),
+        (lambda: min_percolating_size(LatticeSpec(2, 6), 6, symmetry=True), 2),
+    ],
+    ids=["size", "time", "size-symmetry"],
+)
+def test_search_units_send_back_a_few_ints(monkeypatch, search, works):
+    # each result handed through the pool is a unit's summary or count,
+    # never per-candidate arrays (one [3]^3 unit of 9-sets holds 13,603
+    # candidates); the units are the default size
+    names, sizes = set(), []
+
+    def recorded(work, calls, parallelism):
+        names.add(work.__name__)
+        for result in ordered_results(work, calls, parallelism):
+            sizes.append(len(pickle.dumps(result)))
+            yield result
+
+    monkeypatch.setattr(extremal, "ordered_results", recorded)
+    search()
+    assert len(names) == works and len(sizes) > 1
+    assert max(sizes) < 256
 
 
 # -- min_percolation_time --------------------------------------------------------
