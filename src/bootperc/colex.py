@@ -96,15 +96,15 @@ def _block_sizes(size: int, j: int) -> np.ndarray:
 def _seed_planes(size: int, rows: np.ndarray) -> np.ndarray:
     """Bit planes of a (count, k) index array of cells in range(size), one
     candidate per row: (size, words) ``uint64``, bit m of row i set when
-    row m names cell i, written straight into words.  The padding bits
-    stay zero."""
-    words = -(-len(rows) // 64)
-    planes = np.zeros((size, words), dtype=np.uint64)
-    m = np.arange(len(rows))
-    bits = np.left_shift(np.uint64(1), (m % 64).astype(np.uint64))
-    for cells in rows.T:
-        # unbuffered: the same cell may take several bits of one word
-        np.bitwise_or.at(planes.reshape(-1), cells.astype(np.intp) * words + m // 64, bits)
+    row m names cell i.  ``_SLAB`` rows at a time set one byte per cell and
+    candidate, packed into words.  The padding bits stay zero."""
+    planes = np.empty((size, -(-len(rows) // 64)), dtype=np.uint64)
+    for first in range(0, len(rows), _SLAB):
+        slab = rows[first : first + _SLAB]
+        cells = np.zeros((size, 64 * -(-len(slab) // 64)), dtype=np.uint8)
+        cells[slab, np.arange(len(slab))[:, None]] = 1
+        words = np.packbits(cells, axis=1, bitorder="little").view(np.uint64)
+        planes[:, first // 64 : first // 64 + words.shape[1]] = words
     return planes
 
 

@@ -80,8 +80,9 @@ class SearchResult:
 @lru_cache(maxsize=2)
 def _kept(*shape: int) -> np.ndarray:
     """A ``uint64`` array of this shape kept for the process, for the last
-    two shapes asked for: a search unit's planes and the working arrays of
-    the rounds that :func:`_times` reads off them.
+    two shapes asked for: a search unit's planes, and the buffer whose
+    leading entries hold the working arrays of the rounds that
+    :func:`_times` reads off them, at whatever width the rounds narrowed to.
 
     Past 128 KB (glibc's mmap threshold) fresh arrays come from new
     zero-filled pages: a fresh 320 KB planes array per unit made
@@ -98,33 +99,61 @@ def _rounds(spec: LatticeSpec, planes: np.ndarray) -> Iterator[np.ndarray]:
     """Update ``planes`` in place by synchronous rounds, yielding it after
     round 0 (the seeds), 1, 2, ... until no candidate changes; the last
     state yielded is every candidate's closure.  Its one reader is
-    :func:`_times`.  Calls share their working arrays (see :func:`_kept`),
-    so a call must be done with (exhausted or dropped) before the next one
-    starts; every round writes them before it reads them.
+    :func:`_times`.  A word in which no candidate changed holds its 64
+    closures: once at most half of the words changed, the rounds run on
+    those alone, packed, and write them back into ``planes`` (packing on
+    any settled word was slower).  Calls share their working arrays (see
+    :func:`_kept`), so a call must be done with (exhausted or dropped)
+    before the next one starts; every round writes them before it reads them.
     """
-    r = spec.r
-    columns = neighbor_table(spec).T
-    work = _kept(r + 3, *planes.shape)
-    # at[c]: cells with at least c+1 infected neighbours among the columns
-    # seen so far (a bit-sliced saturating counter)
-    at, p, both, grown = work[:r], work[r], work[r + 1], work[r + 2]
+    r, columns = spec.r, neighbor_table(spec).T
+    buffer = _kept(r + 4, *planes.shape).reshape(-1)
+    # state: the words of planes at the indices active, the only ones still changing
+    state, active = planes, np.arange(planes.shape[1])
     while True:
         yield planes
+        work = buffer[: (r + 4) * state.size].reshape(r + 4, *state.shape)
+        # at[c]: cells with at least c+1 infected neighbours among the columns
+        # seen so far (a bit-sliced saturating counter)
+        at, p, both, grown = work[:r], work[r], work[r + 1], work[r + 2]
         for i, column in enumerate(columns):
-            levels = min(i, r)
+            # levels below dead can no longer reach r in the columns left
+            levels, dead = min(i, r), r - len(columns) + i
             # self entries read a grid cell's own bit, 0 while healthy; "clip" is unbuffered
-            np.take(planes, column, axis=0, out=p if levels else at[0], mode="clip")
+            state.take(column, axis=0, out=p if levels else at[0], mode="clip")
             if 0 < levels < r:
                 np.bitwise_and(at[levels - 1], p, out=at[levels])
-            for c in range(levels - 1, 0, -1):
+            for c in range(levels - 1, max(dead, 1) - 1, -1):
                 np.bitwise_and(at[c - 1], p, out=both)
                 at[c] |= both
-            if levels:
+            if levels and dead <= 0:
                 at[0] |= p
-        np.bitwise_or(planes, at[r - 1], out=grown)
-        if np.array_equal(grown, planes):
+        np.bitwise_or(state, at[r - 1], out=grown)
+        changed = _nonzero_words(np.bitwise_xor(grown, state, out=both))
+        count = int(np.count_nonzero(changed))
+        if not count:
             return
-        planes[...] = grown
+        state[...] = grown
+        if state is not planes:
+            planes[:, active] = grown
+        if 2 * count <= len(changed):
+            # pack the words still changing into the last slab of work arrays
+            # at most half as wide: it starts past the end of grown
+            active = active[changed]
+            slab = buffer[(r + 3) * len(planes) * count : (r + 4) * len(planes) * count]
+            state = np.compress(changed, grown, axis=1, out=slab.reshape(len(planes), count))
+
+
+def _nonzero_words(rows: np.ndarray) -> np.ndarray:
+    """One ``bool`` per word of a (rows, words) ``uint64`` array, which it
+    overwrites: whether any row of that word is nonzero.  The rows of
+    several words are first folded in halves down to 64: numpy reduces a
+    tall array of few words one row at a time, 0.25 ms on 14,400 x 4."""
+    while len(rows) > 64 and rows.shape[1] > 1:
+        half = len(rows) // 2
+        rows[:half] |= rows[len(rows) - half :]
+        rows = rows[: len(rows) - half]
+    return np.bitwise_or.reduce(rows, axis=0) != 0
 
 
 def _every(planes: np.ndarray) -> np.ndarray:
@@ -286,17 +315,19 @@ def _canonical_flags(spec: LatticeSpec, *bounds: int) -> np.ndarray:
                 own = np.packbits(unpacked, axis=1, bitorder="little").view(np.uint64)
                 where = where[bits[: len(where)]]  # bits past where's end were never set
                 alive = np.packbits(np.arange(64 * words) < count, bitorder="little").view(np.uint64)
-            top_first = own[::-1]
             # working arrays made once: past 128 KB fresh ones page-fault every map
             work, seen = np.empty_like(own), np.zeros((spec.size + 1, own.shape[1]), dtype=np.uint64)
         g(own, work)
-        work ^= own
-        # seen[i + 1]: bits differing in a row from the top one down to
-        # row size - 1 - i; seen[0] stays clear
-        np.bitwise_or.accumulate(work[::-1], axis=0, out=seen[1:])
-        # each bit's highest differing row, top row first
-        np.bitwise_xor(seen[1:], seen[:-1], out=work)
-        work &= top_first
+        # seen[i]: bits differing in a row from row i up to the top one, a
+        # suffix OR by doubling shifts; seen[size] stays clear
+        differ = np.bitwise_xor(work, own, out=seen[:-1])
+        shift = 1
+        while shift < spec.size:
+            differ[:-shift] |= differ[shift:]
+            shift *= 2
+        # each bit's highest differing row
+        np.bitwise_xor(differ, seen[1:], out=work)
+        work &= own
         alive &= ~np.bitwise_or.reduce(work, axis=0)
     flags = np.zeros(64 * len(unit.valid), dtype=np.uint8)
     flags[where[_bits(alive)[: len(where)]]] = 1

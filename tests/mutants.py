@@ -95,6 +95,67 @@ MUTANTS = [
         "CHANGES.md, search units reduced where they are tested (the canonical count at the hit size)",
     ),
     Mutant(
+        "rounds-no-write-back", "bootperc/extremal.py",
+        "            planes[:, active] = grown\n", "            pass\n",
+        (_EXTREMAL + "test_rounds_on_settling_words_match_the_engine",),
+        "CHANGES.md, search rounds skip settled words (_rounds)",
+    ),
+    Mutant(
+        "rounds-active-renumbered", "bootperc/extremal.py",
+        "active = active[changed]", "active = np.flatnonzero(changed)",
+        (_EXTREMAL + "test_rounds_on_settling_words_match_the_engine",),
+        "CHANGES.md, search rounds skip settled words (_rounds)",
+    ),
+    Mutant(
+        "nonzero-words-drops-the-last-row", "bootperc/extremal.py",
+        "rows[:half] |= rows[len(rows) - half :]", "rows[:half] |= rows[half : 2 * half]",
+        (_EXTREMAL + "test_nonzero_words_match_any_over_rows",),
+        "CHANGES.md, search rounds skip settled words (_nonzero_words)",
+    ),
+    Mutant(
+        "counter-drops-a-live-level", "bootperc/extremal.py",
+        "r - len(columns) + i", "r - len(columns) + i + 1",
+        (_EXTREMAL + "test_batch_kernel_matches_engine_for_every_threshold",),
+        "CHANGES.md, search rounds skip settled words (the counter's dead levels)",
+    ),
+    Mutant(
+        "seed-planes-first-slab-only", "bootperc/colex.py",
+        "slab = rows[first : first + _SLAB]", "slab = rows[:_SLAB]",
+        (_EXTREMAL + "test_seed_planes_match_a_bool_scatter",),
+        "CHANGES.md, search rounds skip settled words (_seed_planes packs bytes)",
+    ),
+    Mutant(
+        "canonical-doubling-skips-rows", "bootperc/extremal.py",
+        "            shift *= 2\n", "            shift *= 3\n",
+        (_EXTREMAL + "test_canonical_flags_match_brute_force",),
+        "CHANGES.md, search rounds skip settled words (_canonical_flags' prefix OR)",
+    ),
+    Mutant(
+        "engine-crossing-count-at-least-r", "bootperc/dynamics.py",
+        "candidates[counts[candidates] < added]", "candidates[counts[candidates] < 128]",
+        ("tests/test_dynamics.py::test_run_length_counts_match_the_oracle_on_random_seeds",),
+        "ROADMAP item 15 (engine rounds in blocks: a count >= r crossing test)",
+    ),
+    Mutant(
+        "engine-last-block-only", "bootperc/dynamics.py",
+        "frontier = crossed[0] if len(crossed) == 1 else np.concatenate(crossed)", "frontier = crossed[-1]",
+        ("tests/test_experiments.py::test_batched_sweep_matches_one_run_per_n[3-hyperplanes-blocks-of-3]",),
+        "ROADMAP item 15 (engine rounds in blocks: only the last block's crossings)",
+    ),
+    Mutant(
+        "engine-unique-frontier", "bootperc/dynamics.py",
+        "frontier = crossed[0] if len(crossed) == 1 else np.concatenate(crossed)",
+        "frontier = np.unique(crossed[0] if len(crossed) == 1 else np.concatenate(crossed))",
+        ("tests/test_cli.py::test_engine_paths_never_load_numpy_ma",),
+        "ROADMAP item 15 (engine rounds in blocks: an np.unique that imports numpy.ma)",
+    ),
+    Mutant(
+        "engine-one-block-per-round", "bootperc/dynamics.py",
+        "_ROUND_CELLS = 1 << 12", "_ROUND_CELLS = 1 << 30",
+        ("tests/test_dynamics.py::test_engine_peak_memory_per_cell",),
+        "ROADMAP item 15 (engine rounds in blocks: the whole frontier in one block)",
+    ),
+    Mutant(
         "oracle-threshold", "bootperc/dynamics.py",
         "if cnt >= r:", "if cnt > r:",
         ("tests/test_dynamics.py::test_run_nine_cell_instance",),

@@ -315,8 +315,57 @@ def test_kernel_past_128_kb_matches_small_batches(topology):
     assert _seed_planes(81, cases[0][1]).nbytes > 2**17 > _seed_planes(81, cases[1][1]).nbytes
     for spec, chunk in cases:
         parts = [_closure_planes(spec, chunk[i : i + 512]) for i in range(0, len(chunk), 512)]
-        extremal._kept(spec.r + 3, spec.size, -(-len(chunk) // 64)).fill(~np.uint64(0))
+        extremal._kept(spec.r + 4, spec.size, -(-len(chunk) // 64)).fill(~np.uint64(0))
         assert np.array_equal(_closure_planes(spec, chunk), np.hstack(parts))
+
+
+def _settling_unit(rng, spec, words):
+    """Seeds of ``64 * words`` random candidates, as a (size, candidates)
+    bool array, and their runs.  The candidates are sorted by their last
+    round, so that each word holds candidates that settle together, and
+    the words are shuffled: the words of the unit settle in many rounds,
+    in no order."""
+    seeds = rng.random((64 * words, spec.size)) < rng.random((64 * words, 1))
+    records = [run(spec, CellSet._from_mask(spec.d, spec.n, seed)) for seed in seeds]
+    order = np.argsort([record.T for record in records], kind="stable").reshape(words, 64)
+    order = order[rng.permutation(words)].ravel()
+    return np.ascontiguousarray(seeds[order].T), [records[c] for c in order]
+
+
+def test_nonzero_words_match_any_over_rows():
+    # one nonzero entry at a time, in the first, the middle and the last
+    # row, and in each word; the rows of several words are folded in halves
+    for rows, words in itertools.product([1, 2, 63, 64, 65, 129, 14400], [1, 2, 5]):
+        for row, word in itertools.product({0, rows // 2, rows - 1}, range(words)):
+            a = np.zeros((rows, words), dtype=np.uint64)
+            a[row, word] = np.uint64(1) << np.uint64(63 * (row % 2))
+            expected = a.any(axis=0)
+            assert extremal._nonzero_words(a).tolist() == expected.tolist(), (rows, words, row, word)
+
+
+@pytest.mark.parametrize("d,n", [(2, 5), (3, 3)])
+@pytest.mark.parametrize("topology", ["grid", "torus"])
+def test_rounds_on_settling_words_match_the_engine(d, n, topology):
+    # units of 40 words whose words settle in different rounds, so the
+    # rounds narrow to the words still changing several times: every
+    # state that _rounds yields, and _times with and without a limit,
+    # against one run per candidate
+    rng = np.random.default_rng(10 * d + n)
+    for r in range(1, 2 * d + 1):
+        spec = LatticeSpec(d, n, topology, r)
+        seeds, records = _settling_unit(rng, spec, 40)
+        infected = np.stack([record.times_array for record in records], axis=1)
+        last = np.array([record.T for record in records])
+        assert len(set(last.reshape(40, 64).max(axis=1).tolist())) >= min(3, len(set(last.tolist()))), spec
+        planes = np.packbits(seeds, axis=1, bitorder="little").view(np.uint64)
+        for t, state in enumerate(_rounds(spec, planes.copy())):
+            cells = np.unpackbits(state.view(np.uint8), axis=1, bitorder="little").astype(bool)
+            assert np.array_equal(cells, (infected >= 0) & (infected <= t)), (spec, t)
+        assert t == last.max(), spec
+        times = np.array([record.T if record.percolates else -1 for record in records])
+        for limit in (None, 0, 1, int(np.median(last)), int(last.max())):
+            expected = times if limit is None else np.where(times < limit, times, -1)
+            assert np.array_equal(extremal._times(spec, planes.copy(), limit), expected), (spec, limit)
 
 
 def _percolating_count(spec, k):
