@@ -32,8 +32,8 @@ def hyperplane_union(d: int, n: int) -> CellSet:
 def shifted_union(d: int, n: int) -> CellSet:
     """Union of the level sets at i*n - floor(n/2) for i = 1..d.
 
-    Provided as-is: whether it percolates is an empirical question answered
-    by running the engine, not a guarantee of this constructor.
+    Percolation is checked, not proved: every level residue class, this one
+    included, percolates for d = 1 (n <= 29), 2 (n <= 40), 3 (n <= 20), 4 (n <= 10).
     """
     # every level lies in [d, d*n], so the levels i*n - floor(n/2) for
     # i = 1..d are exactly those congruent to -floor(n/2) mod n
@@ -58,7 +58,9 @@ def torus3_seed(n: int) -> CellSet:
     """Percolating seed for the 3-torus of side n: (n-1)**2 + 3 cells.
 
     The extremal seed of the embedded [n-1]^3 cube plus one extra cell in
-    each of the three wraparound slabs.
+    each of the three wraparound slabs.  Not smallest: the side-3 torus has
+    a 6-cell percolating set.  Not always minimal: one cell of the n = 4 seed
+    can go (the seeds for n = 3, 5 and 6 are minimal).
     """
     if n < 3:
         raise ValueError(f"torus seed requires n >= 3, got {n}")

@@ -60,10 +60,6 @@ class CellSet:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def empty(cls, d: int, n: int) -> "CellSet":
-        return cls(d, n, 0)
-
-    @classmethod
     def full(cls, d: int, n: int) -> "CellSet":
         return cls(d, n, (1 << n**d) - 1)
 
@@ -151,10 +147,6 @@ class CellSet:
     def cells(self) -> list[Cell]:
         return list(map(tuple, self.to_coord_lists()))
 
-    def issubset(self, other: "CellSet") -> bool:
-        self._check_shape(other)
-        return self.bits & ~other.bits == 0
-
     # -- algebra -----------------------------------------------------------
 
     def _check_shape(self, other: "CellSet") -> None:
@@ -174,9 +166,6 @@ class CellSet:
     def __sub__(self, other: "CellSet") -> "CellSet":
         self._check_shape(other)
         return CellSet(self.d, self.n, self.bits & ~other.bits)
-
-    def remove_cell(self, cell: Cell) -> "CellSet":
-        return CellSet(self.d, self.n, self.bits & ~(1 << cell_index(cell, self.d, self.n)))
 
     # -- serialization -----------------------------------------------------
 
@@ -250,11 +239,6 @@ class RunRecord:
         """The audit's cell coordinates, steps and counts, as lists of Python ints."""
         steps, counts = self.audit_array[:, 1:].T.tolist()
         return coordinates(self.audit_array[:, 0], self.spec.d, self.spec.n).tolist(), steps, counts
-
-    def time_of(self, cell: Cell) -> int | None:
-        """Infection round of a cell, or None if it never gets infected."""
-        t = int(self.times_array[cell_index(cell, self.spec.d, self.spec.n)])
-        return None if t < 0 else t
 
     def closure(self) -> CellSet:
         return CellSet._from_mask(self.spec.d, self.spec.n, self.times_array >= 0)

@@ -144,9 +144,6 @@ class WitnessDag:
     def leaf_labels(self) -> list[Cell]:
         return [u for u, node in self.nodes.items() if node.children is None]
 
-    def internal_labels(self) -> list[Cell]:
-        return [u for u, node in self.nodes.items() if node.children is not None]
-
     def edges(self) -> Iterator[tuple[Cell, Cell]]:
         for u, node in self.nodes.items():
             for w in node.children or ():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bootperc.constructions import (
@@ -9,8 +10,9 @@ from bootperc.constructions import (
     shifted_union,
     torus3_seed,
 )
-from bootperc.dynamics import CellSet, run
-from bootperc.lattice import LatticeSpec, cell_at
+from bootperc.dynamics import CellSet, perimeter, run
+from bootperc.extremal import is_minimal, min_percolating_size
+from bootperc.lattice import LatticeSpec, cell_at, levels
 
 
 def test_level_set_singletons():
@@ -71,12 +73,30 @@ def test_shifted_union_cardinality_bound(d, n):
 
 
 def test_shifted_union_behaviour_is_empirical():
-    # no percolation promise: just record what the engine says
+    # percolation is checked over a range of n, not promised: see the residue class test below
     rec = run(LatticeSpec(2, 4), shifted_union(2, 4))
     assert rec.percolates and rec.T == 5
     rec = run(LatticeSpec(3, 6), shifted_union(3, 6))
     assert len(shifted_union(3, 6)) <= 36
-    assert isinstance(rec.percolates, bool)
+    assert rec.percolates
+
+
+@pytest.mark.parametrize("d,max_n", [(1, 20), (2, 24), (3, 16), (4, 8)])
+def test_level_residue_classes_are_smallest_percolating_sets(d, max_n):
+    # R_a, the cells whose coordinate sum is a mod n, has n^(d-1) cells, no
+    # two adjacent (perimeter 2d n^(d-1)); by the perimeter bound no smaller
+    # set percolates under r = d, so each class that percolates is smallest.
+    # hyperplane_union is R_0 and shifted_union R_(-floor(n/2))
+    for n in range(1, max_n + 1):
+        spec = LatticeSpec(d, n)
+        residues = levels(d, n) % n
+        classes = [CellSet.from_indices(d, n, np.flatnonzero(residues == a)) for a in range(n)]
+        for a, cells in enumerate(classes):
+            assert len(cells) == n ** (d - 1), (n, a)
+            assert perimeter(spec, cells) == 2 * d * n ** (d - 1), (n, a)
+            assert run(spec, cells).percolates, (n, a)
+        assert hyperplane_union(d, n) == classes[0]
+        assert shifted_union(d, n) == classes[-(n // 2) % n]
 
 
 def test_diagonal():
@@ -107,6 +127,14 @@ def test_torus3_seed_counts_and_percolation():
         rec = run(LatticeSpec(3, n, "torus"), seed)
         assert rec.percolates
     assert len(torus3_seed(4)) == 12 < 16
+
+
+def test_torus3_seed_is_not_smallest_and_not_always_minimal():
+    spec = LatticeSpec(3, 3, "torus")
+    assert len(torus3_seed(3)) == 7
+    assert min_percolating_size(spec, 7).optimum == 6
+    minimal = {n: is_minimal(LatticeSpec(3, n, "torus"), torus3_seed(n)) for n in (3, 4, 5, 6)}
+    assert minimal == {3: True, 4: False, 5: True, 6: True}
 
 
 def test_torus3_extra_seed_placement():

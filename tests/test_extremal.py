@@ -713,6 +713,14 @@ def test_two_neighbour_minimum_closed_form():
         assert min_percolating_size(LatticeSpec(d, n, r=2), expected).optimum == expected, (d, n)
 
 
+def test_three_neighbour_hypercube_minimum_closed_form():
+    # Morrison-Noel (JCTA 2018): the smallest 3-neighbour percolating set of
+    # the hypercube Q_d = [2]^d has ceil(d(d+3)/6) + 1 cells, for d >= 3
+    for d, expected in [(3, 4), (4, 6), (5, 8)]:
+        assert -(-d * (d + 3) // 6) + 1 == expected
+        assert min_percolating_size(LatticeSpec(d, 2, r=3), expected).optimum == expected, d
+
+
 def test_one_neighbour_minimum_is_one():
     for spec in (LatticeSpec(1, 4, r=1), LatticeSpec(2, 5, r=1), LatticeSpec(3, 3, r=1),
                  LatticeSpec(2, 4, "torus", 1), LatticeSpec(3, 3, "torus", 1)):
@@ -832,7 +840,7 @@ def test_search_argument_validation():
 def test_witness_revalidation_catches_an_engine_that_disagrees(monkeypatch):
     spec = LatticeSpec(2, 3)
     engine = extremal.run
-    monkeypatch.setattr(extremal, "run", lambda spec, cells: engine(spec, CellSet.empty(spec.d, spec.n)))
+    monkeypatch.setattr(extremal, "run", lambda spec, cells: engine(spec, CellSet(spec.d, spec.n)))
     message = "internal check failed: witness [(1, 1), (1, 3), (3, 1)] does not percolate"
     with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         min_percolating_size(spec, 3)
@@ -877,7 +885,7 @@ def test_hyperplane_union_is_minimal_on_small_squares():
 def test_single_removal_failure_example():
     # dropping (3,3) from A_2 on [3]^2 stalls at the four low cells
     spec = LatticeSpec(2, 3)
-    broken = hyperplane_union(2, 3).remove_cell((3, 3))
+    broken = hyperplane_union(2, 3) - CellSet.from_cells(2, 3, [(3, 3)])
     closed = closure(spec, broken)
     assert set(closed) == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
