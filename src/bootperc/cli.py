@@ -25,7 +25,7 @@ import numpy as np
 # Only the modules every command runs load here; each command imports the
 # rest where it runs, so a simulation never compiles the searches.
 from .constructions import CONSTRUCTIONS, SWEEP_CONSTRUCTIONS, build_construction
-from .dynamics import CellSet, RunRecord, run, write_record_json
+from .dynamics import CellSet, RunRecord, _fill, run, write_record_json
 from .lattice import BudgetExceededError, LatticeSpec, NoPercolatingSetError, coordinates
 
 BUDGET_ENV_VAR = "BOOTPERC_BUDGET"
@@ -116,9 +116,13 @@ def _stream_snapshots(record: RunRecord, every: int) -> None:
     emitted = emitted[np.argsort(times[emitted], kind="stable")]
     steps = range(0, record.T + 1, every)
     bounds = np.searchsorted(times[emitted], [*steps, record.T + 1]).tolist()
-    cells = coordinates(emitted, record.spec.d, record.spec.n).tolist()
+    # each line is json.dumps's layout of {"step": ..., "cells": [...]},
+    # its cells cut from one fill of every emitted cell
+    d = record.spec.d
+    cell = "[" + ", ".join(["%d"] * d) + "]"
+    cells = _fill(cell, "\n", coordinates(emitted, d, record.spec.n)).split("\n")
     for k, step in enumerate(steps):
-        _emit(json.dumps({"step": step, "cells": cells[bounds[k]:bounds[k + 1]]}))
+        _emit('{"step": %d, "cells": [%s]}' % (step, ", ".join(cells[bounds[k]:bounds[k + 1]])))
     _emit(json.dumps({"T": record.T, "percolates": record.percolates}))
 
 

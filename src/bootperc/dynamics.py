@@ -37,6 +37,11 @@ from .lattice import Cell, LatticeSpec, cell_at, cell_index, coordinates, face_c
 _WRITE_ROWS = 1 << 16
 _BLOCK_CELLS = 1 << 14  # cells :func:`_perimeters` compares per numpy pass
 _ROUND_CELLS = 1 << 12  # frontier cells :func:`_infect` expands per numpy pass
+# byte classes of plain cell text for :func:`_coordinate_table`: 1 a digit,
+# 2 a sign, 3 a space, tab or "\r", 4 "\n", 0 any other byte
+_BYTE_CLASSES = bytes(
+    1 if 48 <= b < 58 else 2 if b in b"+-" else 3 if b in b" \t\r" else 4 if b == 10 else 0 for b in range(256)
+)
 
 
 @dataclass(frozen=True)
@@ -86,20 +91,20 @@ class CellSet:
     def from_text(cls, text: str, d: int, n: int) -> "CellSet":
         """Parse the one-cell-per-line format: d space-separated 1-based coordinates.
 
-        Blank lines are skipped.  Every token goes through one ``int`` call
-        and one :func:`np.ravel_multi_index` indexes the whole table, raising
-        on any coordinate out of range.  Any bad input is handed to
-        :meth:`_from_lines`, which raises the first error in line order,
-        structural errors (a bad token, a wrong coordinate count) on any
-        line before range errors.
+        Blank lines are skipped.  Plain text is read as one table by
+        :func:`_coordinate_table`, and one :func:`np.ravel_multi_index`
+        indexes it, raising on any coordinate out of range.  Any other text
+        and any bad input is handed to :meth:`_from_lines`, which raises the
+        first error in line order, structural errors (a bad token, a wrong
+        coordinate count) on any line before range errors.
         """
-        if not set(map(len, map(str.split, text.splitlines()))) - {0, d}:
+        coords = _coordinate_table(text, d)
+        if coords is not None:
             try:
-                coords = np.array(list(map(int, text.split())), dtype=np.int64).reshape(-1, d)
                 mask = np.zeros(n**d, dtype=bool)
                 mask[np.ravel_multi_index(tuple(coords.T - 1), (n,) * d)] = True
                 return cls._from_mask(d, n, mask)
-            except (ValueError, OverflowError):
+            except ValueError:
                 pass
         return cls._from_lines(text, d, n)
 
@@ -274,7 +279,8 @@ def write_record_json(record: RunRecord, out: TextIO) -> None:
     The document is built key for key like :meth:`RunRecord.to_json_dict`,
     each list as an int table with its item shape, and written by
     :func:`_write_document`, so no per-element Python objects are encoded
-    and the document is never held whole.
+    and the document is never held whole; the audit's rows are built one
+    written block at a time.
     """
     spec, d = record.spec, record.spec.d
     doc = {
@@ -290,19 +296,36 @@ def write_record_json(record: RunRecord, out: TextIO) -> None:
     if record.perimeter_trace is not None:
         doc["perimeter_trace"] = ("%d", np.array(record.perimeter_trace, dtype=np.int64))
     if record.audit_array is not None:
-        events = record.audit_array
         doc["audit"] = (
             {"cell": ["%d"] * d, "step": "%d", "infected_neighbors": "%d"},
-            np.column_stack((coordinates(events[:, 0], d, spec.n), events[:, 1:])),
+            _AuditRows(record.audit_array, d, spec.n),
         )
     _write_document(out, doc)
+
+
+@dataclass(frozen=True)
+class _AuditRows:
+    """The audit as rows (cell coordinates, step, count), built only for the
+    blocks that :func:`_write_document` slices, so no whole table is held."""
+
+    events: np.ndarray
+    d: int
+    n: int
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __getitem__(self, block: slice) -> np.ndarray:
+        events = self.events[block]
+        return np.column_stack((coordinates(events[:, 0], self.d, self.n), events[:, 1:]))
 
 
 def _write_document(out: TextIO, doc: dict) -> None:
     """Write ``json.dumps(doc, indent=2)`` to ``out``, where a value may be an int table.
 
     A JSON scalar goes through :func:`json.dumps`.  A table ``(shape,
-    rows)`` lists one ``shape`` per row of the int array ``rows``, whose
+    rows)`` lists one ``shape`` per row of the int array ``rows`` (or of
+    anything whose slices are int arrays, sliced once per block), whose
     columns fill the shape's ``"%d"`` strings in order (``[]`` if empty);
     with ``(shapes, rows, kinds)`` row i takes ``shapes[kinds[i]]``.  Each
     shape's ``json.dumps(shape, indent=2)``, unquoted and indented, is a
@@ -346,13 +369,14 @@ def _fill(template: str | tuple[str, ...], sep: str, rows: np.ndarray, kinds: np
     table = np.full((len(templates), width, len(strs)), "", dtype=object)
     for columns, tpl in zip(table, templates):
         pieces = tpl.split("%d")
-        heads = [pieces[0]] + [""] * (len(pieces) - 2)
-        tails = pieces[1:]
-        tails[-1] += sep
-        for j, (head, tail) in enumerate(zip(heads, tails)):
+        # every row opens with sep, which the first row's first string drops,
+        # so the joined text is never copied to trim it
+        heads = [sep + pieces[0]] + [""] * (len(pieces) - 2)
+        for j, (head, tail) in enumerate(zip(heads, pieces[1:])):
             columns[j] = [head + s + tail for s in strs]
-    text = "".join(table[np.reshape(kinds, (-1, 1)), np.arange(width), codes].ravel().tolist())
-    return text[: len(text) - len(sep)]
+    parts = table[np.reshape(kinds, (-1, 1)), np.arange(width), codes].ravel().tolist()
+    parts[0] = parts[0][len(sep):]
+    return "".join(parts)
 
 
 def _value_strings(values: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -366,6 +390,39 @@ def _value_strings(values: np.ndarray) -> tuple[list[str], np.ndarray]:
         return list(map(str, range(lo, hi + 1))), values - lo
     distinct, positions = np.unique(values, return_inverse=True)
     return list(map(str, distinct.tolist())), positions.reshape(values.shape)
+
+
+def _coordinate_table(text: str, d: int) -> np.ndarray | None:
+    """The (cells, d) int64 table of plain cell text, or None for any other text.
+
+    Plain text holds only ASCII digits, signs, spaces, tabs and ``\\n`` or
+    ``\\r\\n`` line ends, so its lines are those of :meth:`str.splitlines`
+    and its tokens those of :meth:`str.split`.  Each token must be an
+    optional sign and digits, at most 18 bytes, which ``int`` and int64
+    read alike, and each line must hold 0 or d tokens.  Numpy passes over
+    the text's byte classes check this, and :func:`np.fromstring` reads
+    the values.
+    """
+    if not text.isascii() or "\r" in text and text.count("\r") != text.count("\r\n"):
+        return None
+    # the text framed by a blank on either side, one class per byte
+    classes = (b" " + text.encode("ascii") + b" ").translate(_BYTE_CLASSES)
+    if b"\0" in classes:
+        return None
+    kind = np.frombuffer(classes, dtype=np.uint8)
+    blank = kind >= 3
+    edges = np.flatnonzero(blank[:-1] != blank[1:])  # each token's start and stop
+    starts, stops = edges[::2], edges[1::2]
+    signs = np.flatnonzero(kind == 2)
+    if (stops - starts).max(initial=0) > 18 or not (blank[signs - 1] & (kind[signs + 1] == 1)).all():
+        return None
+    tokens = np.diff(np.searchsorted(starts, np.flatnonzero(kind == 4)), prepend=0, append=len(starts))
+    if not ((tokens == 0) | (tokens == d)).all():
+        return None
+    if not len(starts):
+        return np.empty((0, d), dtype=np.int64)
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    return values.reshape(-1, d) if len(values) == len(starts) else None
 
 
 def _index_array(cells: CellSet) -> np.ndarray:

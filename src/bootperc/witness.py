@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -186,15 +187,17 @@ def write_witness_json(dag: WitnessDag, out: TextIO) -> None:
     (zeros for a leaf, whose shape ignores them).  Leaves and internal nodes
     differ only in ``"children"``, so two shapes cover every node.
     """
-    d = dag.ctx.d
+    d, count = dag.ctx.d, len(dag.nodes)
     nodes = dag.nodes.values()
     no_children = ((0,) * d,) * d
+    flat = chain.from_iterable
     rows = np.column_stack((
-        np.array(list(dag.nodes), dtype=np.int64).reshape(-1, d),
-        np.array([node.offset for node in nodes], dtype=np.int64),
-        np.array([node.children or no_children for node in nodes], dtype=np.int64).reshape(-1, d * d),
+        np.fromiter(flat(dag.nodes), dtype=np.int64, count=count * d).reshape(-1, d),
+        np.fromiter((node.offset for node in nodes), dtype=np.int64, count=count),
+        np.fromiter(flat(flat(node.children or no_children for node in nodes)), dtype=np.int64,
+                    count=count * d * d).reshape(-1, d * d),
     ))
-    kinds = np.array([node.children is not None for node in nodes], dtype=np.int64)
+    kinds = np.fromiter((node.children is not None for node in nodes), dtype=np.int64, count=count)
     label = ["%d"] * d
     leaf = {"label": label, "t": "%d", "children": None}
     _write_document(out, {

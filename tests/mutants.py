@@ -156,6 +156,32 @@ MUTANTS = [
         "ROADMAP item 15 (engine rounds in blocks: the whole frontier in one block)",
     ),
     Mutant(
+        "parser-any-token-count", "bootperc/dynamics.py",
+        "if not ((tokens == 0) | (tokens == d)).all():", "if False:",
+        ("tests/test_dynamics.py::test_cellset_from_text_rejects_garbage",
+         "tests/test_properties.py::test_cellset_from_text_matches_line_parser"),
+        "CHANGES.md, record-path text at table speed (_coordinate_table)",
+    ),
+    Mutant(
+        "parser-lone-cr-is-a-blank", "bootperc/dynamics.py",
+        'if not text.isascii() or "\\r" in text and text.count("\\r") != text.count("\\r\\n"):',
+        "if not text.isascii():",
+        ("tests/test_properties.py::test_cellset_from_text_splits_like_str_methods",),
+        "CHANGES.md, record-path text at table speed (_coordinate_table)",
+    ),
+    Mutant(
+        "audit-rows-whole-table", "bootperc/dynamics.py",
+        "events = self.events[block]", "events = self.events",
+        ("tests/test_dynamics.py::test_writer_splits_lists_into_blocks",),
+        "CHANGES.md, record-path text at table speed (_AuditRows)",
+    ),
+    Mutant(
+        "snapshot-separator-without-space", "bootperc/cli.py",
+        '", ".join(cells[bounds[k]:bounds[k + 1]])', '",".join(cells[bounds[k]:bounds[k + 1]])',
+        ("tests/test_golden_output.py::test_snapshot_lines_are_pinned",),
+        "CHANGES.md, record-path text at table speed (_stream_snapshots)",
+    ),
+    Mutant(
         "oracle-threshold", "bootperc/dynamics.py",
         "if cnt >= r:", "if cnt > r:",
         ("tests/test_dynamics.py::test_run_nine_cell_instance",),

@@ -96,6 +96,8 @@ PARSE_ERRORS = [
     ),
     # a bad token on a later line is reported before a range error on line 1
     ("4 1\n1 1\n1 z\n", "line 3: not a coordinate list: '1 z'"),
+    # lines of 1 and 3 tokens, 2 cells' worth in all
+    ("1\n1 2 3\n", "line 1: expected 2 coordinates, got 1"),
 ]
 
 
@@ -545,6 +547,27 @@ def test_writer_on_closed_initial_sets(spec, initial):
     text = _written(rec)
     assert text == json.dumps(rec.to_json_dict(), indent=2)
     assert '"audit": []' in text and ('"initial": []' in text) == (initial == "empty")
+
+
+class _Discard:
+    """A text sink that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_writer_peak_memory_on_a_large_record():
+    # the audit's rows are built one written block at a time and no block's
+    # text is copied: about 15.7 MiB for the 26.4 MB [60]^3 document, which
+    # peaked at 26.4 MiB while the whole audit table was stacked first
+    rec = run(LatticeSpec(3, 60), hyperplane_union(3, 60), audit=True, record_trace=True)
+    tracemalloc.start()
+    try:
+        write_record_json(rec, _Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20
 
 
 def test_writer_splits_lists_into_blocks(monkeypatch):

@@ -153,9 +153,36 @@ RECORD_GOLDEN = {
 MESSY_INITIAL = b"1 1 1\r\n\r\n  2\t3 4 \r\n\t\n1 1 1\n4 4 4\r\n+3 2 1\n \n2 2\t2"
 
 
+# `simulate --snapshot` lines, pinned before they were filled from a table
+# instead of one json.dumps per step
+SNAPSHOT_GOLDEN = {
+    "snapshot-hyperplanes-d4n3-every-1": (
+        "simulate --d 4 --n 3 --construction hyperplanes --snapshot every=1",
+        0, "202e7ca0e4d48283907568ca1685d1222d0011de791f185da05383192d9b428f",
+    ),
+    "snapshot-torus3-n5-every-3": (
+        "simulate --d 3 --n 5 --construction torus3 --topology torus --snapshot every=3",
+        0, "ffad8d93acf6a89dc92e0e439f7aeadc8237199015f99a98288ab6c3f02d911c",
+    ),
+    # step 0 lists "cells": []
+    "snapshot-empty-initial": (
+        "simulate --d 3 --n 4 --initial {empty} --snapshot every=1",
+        0, "14167e55fa67cabc65e2e6de9e14f83e2b33cfbf57c506b536093e62c58869ed",
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(RECORD_GOLDEN))
 def test_record_writer_bytes_are_pinned(capsys, tmp_path, name):
-    argv, code, digest = RECORD_GOLDEN[name]
+    _check_pinned(capsys, tmp_path, *RECORD_GOLDEN[name])
+
+
+@pytest.mark.parametrize("name", sorted(SNAPSHOT_GOLDEN))
+def test_snapshot_lines_are_pinned(capsys, tmp_path, name):
+    _check_pinned(capsys, tmp_path, *SNAPSHOT_GOLDEN[name])
+
+
+def _check_pinned(capsys, tmp_path, argv, code, digest):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
     messy = tmp_path / "messy.txt"

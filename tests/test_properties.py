@@ -3,6 +3,7 @@
 import io
 import json
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bootperc.colex import _colex_chunk
@@ -139,41 +140,57 @@ def _outcome(parse, text, d, n):
         return str(exc)
 
 
+# line breaks of str.splitlines besides "\n" and "\r\n"
+ODD_BREAKS = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+
+
 @st.composite
 def cell_texts(draw):
-    """Cell files for [n]^d: valid rows, with "+" signs, tabs and
-    duplicates, among blank and whitespace-only lines, with CRLF or LF
+    """Cell files for [n]^d: valid rows, with "+" signs, leading zeros, tabs
+    and duplicates, among blank and whitespace-only lines, with CRLF or LF
     endings; now and then a row with a coordinate out of range (huge ones
-    included), a token too many or too few, or a token that is not an
-    integer."""
+    and ones past int64 included), a token too many or too few, or a token
+    that is not an integer, or a row cut in two by a line break.  Half the
+    files also break lines with one of the other breaks of str.splitlines,
+    and half separate tokens with no-break spaces too, which str.split
+    takes for blanks."""
     d = draw(st.integers(min_value=1, max_value=4))
     n = draw(st.integers(min_value=1, max_value=5))
+    odd_breaks = draw(st.just([]) | st.sampled_from(ODD_BREAKS).map(lambda b: [b]))
+    nbsp = draw(st.booleans())
     coord = st.integers(min_value=1, max_value=n).map(str)
-    coord = st.one_of(coord, coord.map(lambda t: "+" + t))
-    outside = st.sampled_from(["0", "-1", str(n + 1), "10" * 12, "-" + "9" * 19])
-    junk = st.sampled_from(["x", "1.5", "--1", "0x1", "1e2"])
+    coord = st.one_of(coord, coord.map(lambda t: "+" + t), coord.map(lambda t: "00" + t))
+    outside = st.sampled_from(
+        ["0", "-0", "-1", str(n + 1), "1_000", "10" * 12, "9" * 19, "+" + "9" * 19, "-" + "9" * 19]
+    )
+    junk = st.sampled_from(["x", "1.5", "--1", "+-1", "-", "1-2", "0x1", "1e2"])
     rows = {
         "row": st.lists(coord, min_size=d, max_size=d),
         "range": st.lists(st.one_of(coord, outside), min_size=d, max_size=d),
         "count": st.lists(coord, min_size=d + 1, max_size=d + 1) | st.lists(coord, min_size=d - 1, max_size=d - 1),
         "junk": st.lists(st.one_of(coord, junk), min_size=1, max_size=d + 1),
     }
-    gap = st.sampled_from([" ", "  ", "\t", " \t"])
-    kinds = ["row"] * 6 + ["blank", "space", "repeat", "range", "count", "junk"]
+    gap = st.sampled_from([" ", "  ", "\t", " \t"] + ["\xa0", " \xa0"] * nbsp)
+    breaks = st.sampled_from(["\n", "\r\n"] + odd_breaks)
+    kinds = ["row"] * 6 + ["blank", "space", "repeat", "split"] + ["range", "count", "junk"] * draw(st.booleans())
     lines = []
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
         if kind in rows:
             toks = draw(rows[kind])
             lines.append(draw(st.sampled_from(["", " ", "\t"])) + "".join(t + draw(gap) for t in toks).rstrip())
+        elif kind == "split":
+            toks = draw(rows["row"])
+            cut = draw(st.integers(min_value=0, max_value=d))
+            lines.append(" ".join(toks[:cut]) + draw(st.sampled_from(odd_breaks or ["\n"])) + " ".join(toks[cut:]))
         elif kind == "blank":
             lines.append("")
         elif kind == "space":
             lines.append(draw(gap))
         elif lines:
             lines.append(draw(st.sampled_from(lines)))
-    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    text = "".join(line + draw(breaks) for line in lines)
     if lines and draw(st.booleans()):
-        text = text.rstrip("\r\n")
+        text = text.rstrip("".join(["\n", "\r"] + ODD_BREAKS))
     return text, d, n
 
 
@@ -182,6 +199,14 @@ def cell_texts(draw):
 def test_cellset_from_text_matches_line_parser(case):
     text, d, n = case
     assert _outcome(CellSet.from_text, text, d, n) == _outcome(parse_lines, text, d, n)
+
+
+@pytest.mark.parametrize("blank", ODD_BREAKS + ["\xa0", "\x1f"], ids=ascii)
+def test_cellset_from_text_splits_like_str_methods(blank):
+    # "1 2\r3" is two lines to str.splitlines, so no cell of [3]^3; "\xa0"
+    # and "\x1f" only separate tokens, so "1 2\xa03" is the cell (1, 2, 3)
+    for text in (f"1 2{blank}3", f"1 2{blank}3\n2 2 2\n", f"1{blank}2 3\r\n"):
+        assert _outcome(CellSet.from_text, text, 3, 3) == _outcome(parse_lines, text, 3, 3)
 
 
 @st.composite
