@@ -23,6 +23,7 @@ searches and the sweeps.
 from __future__ import annotations
 
 import json
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
@@ -37,11 +38,6 @@ from .lattice import Cell, LatticeSpec, cell_at, cell_index, coordinates, face_c
 _WRITE_ROWS = 1 << 16
 _BLOCK_CELLS = 1 << 14  # cells :func:`_perimeters` compares per numpy pass
 _ROUND_CELLS = 1 << 12  # frontier cells :func:`_infect` expands per numpy pass
-# byte classes of plain cell text for :func:`_coordinate_table`: 1 a digit,
-# 2 a sign, 3 a space, tab or "\r", 4 "\n", 0 any other byte
-_BYTE_CLASSES = bytes(
-    1 if 48 <= b < 58 else 2 if b in b"+-" else 3 if b in b" \t\r" else 4 if b == 10 else 0 for b in range(256)
-)
 
 
 @dataclass(frozen=True)
@@ -91,22 +87,26 @@ class CellSet:
     def from_text(cls, text: str, d: int, n: int) -> "CellSet":
         """Parse the one-cell-per-line format: d space-separated 1-based coordinates.
 
-        Blank lines are skipped.  Plain text is read as one table by
-        :func:`_coordinate_table`, and one :func:`np.ravel_multi_index`
-        indexes it, raising on any coordinate out of range.  Any other text
-        and any bad input is handed to :meth:`_from_lines`, which raises the
-        first error in line order, structural errors (a bad token, a wrong
-        coordinate count) on any line before range errors.
+        Blank lines are skipped.  One :func:`np.loadtxt` call reads the
+        lines of :meth:`str.splitlines` as an int64 table, and one
+        :func:`np.ravel_multi_index` indexes it.  Any error or warning
+        there (a token numpy does not read as ``int`` does, a change in
+        token count, no rows at all, a coordinate out of range or a row of
+        the wrong length) hands the text to :meth:`_from_lines`, which
+        raises the first error in line order, structural errors (a bad
+        token, a wrong coordinate count) on any line before range errors.
         """
-        coords = _coordinate_table(text, d)
-        if coords is not None:
-            try:
-                mask = np.zeros(n**d, dtype=bool)
-                mask[np.ravel_multi_index(tuple(coords.T - 1), (n,) * d)] = True
-                return cls._from_mask(d, n, mask)
-            except ValueError:
-                pass
-        return cls._from_lines(text, d, n)
+        try:
+            with warnings.catch_warnings():
+                # loadtxt only warns on a file with no rows, and numpy 1.24
+                # on "1.0", which it reads through a float
+                warnings.simplefilter("error")
+                coords = np.loadtxt(text.splitlines(), dtype=np.int64, ndmin=2, comments=None)
+            mask = np.zeros(n**d, dtype=bool)
+            mask[np.ravel_multi_index(tuple(coords.T - 1), (n,) * d)] = True
+        except (ValueError, Warning):
+            return cls._from_lines(text, d, n)
+        return cls._from_mask(d, n, mask)
 
     @classmethod
     def _from_lines(cls, text: str, d: int, n: int) -> "CellSet":
@@ -390,39 +390,6 @@ def _value_strings(values: np.ndarray) -> tuple[list[str], np.ndarray]:
         return list(map(str, range(lo, hi + 1))), values - lo
     distinct, positions = np.unique(values, return_inverse=True)
     return list(map(str, distinct.tolist())), positions.reshape(values.shape)
-
-
-def _coordinate_table(text: str, d: int) -> np.ndarray | None:
-    """The (cells, d) int64 table of plain cell text, or None for any other text.
-
-    Plain text holds only ASCII digits, signs, spaces, tabs and ``\\n`` or
-    ``\\r\\n`` line ends, so its lines are those of :meth:`str.splitlines`
-    and its tokens those of :meth:`str.split`.  Each token must be an
-    optional sign and digits, at most 18 bytes, which ``int`` and int64
-    read alike, and each line must hold 0 or d tokens.  Numpy passes over
-    the text's byte classes check this, and :func:`np.fromstring` reads
-    the values.
-    """
-    if not text.isascii() or "\r" in text and text.count("\r") != text.count("\r\n"):
-        return None
-    # the text framed by a blank on either side, one class per byte
-    classes = (b" " + text.encode("ascii") + b" ").translate(_BYTE_CLASSES)
-    if b"\0" in classes:
-        return None
-    kind = np.frombuffer(classes, dtype=np.uint8)
-    blank = kind >= 3
-    edges = np.flatnonzero(blank[:-1] != blank[1:])  # each token's start and stop
-    starts, stops = edges[::2], edges[1::2]
-    signs = np.flatnonzero(kind == 2)
-    if (stops - starts).max(initial=0) > 18 or not (blank[signs - 1] & (kind[signs + 1] == 1)).all():
-        return None
-    tokens = np.diff(np.searchsorted(starts, np.flatnonzero(kind == 4)), prepend=0, append=len(starts))
-    if not ((tokens == 0) | (tokens == d)).all():
-        return None
-    if not len(starts):
-        return np.empty((0, d), dtype=np.int64)
-    values = np.fromstring(text, dtype=np.int64, sep=" ")
-    return values.reshape(-1, d) if len(values) == len(starts) else None
 
 
 def _index_array(cells: CellSet) -> np.ndarray:

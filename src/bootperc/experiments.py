@@ -5,7 +5,7 @@ and percolation-time sweeps with quadratic least-squares fits.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
@@ -108,9 +108,6 @@ class SweepRow:
     cells: int  # initially infected cells
     within_bound: bool  # T <= (d+2)*n**2 + n
 
-    def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass
 class SweepTable:
@@ -127,8 +124,7 @@ class SweepTable:
     fit: dict | None = None
 
     def to_json_dict(self) -> dict:
-        rows = [row.to_json_dict() for row in self.rows]
-        return {f.name: getattr(self, f.name) for f in fields(self)} | {"rows": rows}
+        return asdict(self)
 
     def to_csv(self) -> str:
         lines = ["d,construction,n,T,percolates,cells"]

@@ -156,18 +156,22 @@ MUTANTS = [
         "ROADMAP item 15 (engine rounds in blocks: the whole frontier in one block)",
     ),
     Mutant(
-        "parser-any-token-count", "bootperc/dynamics.py",
-        "if not ((tokens == 0) | (tokens == d)).all():", "if False:",
-        ("tests/test_dynamics.py::test_cellset_from_text_rejects_garbage",
-         "tests/test_properties.py::test_cellset_from_text_matches_line_parser"),
-        "CHANGES.md, record-path text at table speed (_coordinate_table)",
+        "parser-hash-comments", "bootperc/dynamics.py",
+        "ndmin=2, comments=None)", "ndmin=2)",
+        ("tests/test_dynamics.py::test_cellset_from_text_rejects_garbage",),
+        "CHANGES.md, --initial read by one np.loadtxt call (from_text: a '#' line is a bad line)",
     ),
     Mutant(
-        "parser-lone-cr-is-a-blank", "bootperc/dynamics.py",
-        'if not text.isascii() or "\\r" in text and text.count("\\r") != text.count("\\r\\n"):',
-        "if not text.isascii():",
-        ("tests/test_properties.py::test_cellset_from_text_splits_like_str_methods",),
-        "CHANGES.md, record-path text at table speed (_coordinate_table)",
+        "parser-table-ndmin-0", "bootperc/dynamics.py",
+        "ndmin=2,", "ndmin=0,",
+        ("tests/test_dynamics.py::test_cellset_from_text_one_line_of_one_coordinate",),
+        "CHANGES.md, --initial read by one np.loadtxt call (from_text: a one-cell d = 1 file)",
+    ),
+    Mutant(
+        "parser-warnings-not-errors", "bootperc/dynamics.py",
+        '                warnings.simplefilter("error")\n', "",
+        ("tests/test_dynamics.py::test_cellset_from_empty_text",),
+        "CHANGES.md, --initial read by one np.loadtxt call (from_text: loadtxt's warning on an empty file)",
     ),
     Mutant(
         "audit-rows-whole-table", "bootperc/dynamics.py",

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,10 @@ PARSE_ERRORS = [
     ("4 1\n1 1\n1 z\n", "line 3: not a coordinate list: '1 z'"),
     # lines of 1 and 3 tokens, 2 cells' worth in all
     ("1\n1 2 3\n", "line 1: expected 2 coordinates, got 1"),
+    # every line of 3 tokens: one table, but of the wrong width
+    ("1 1 1\n2 2 2\n", "line 1: expected 2 coordinates, got 3"),
+    # "#" starts no comment
+    ("# c\n1 1\n", "line 1: not a coordinate list: '# c'"),
 ]
 
 
@@ -108,7 +113,16 @@ def test_cellset_from_text_rejects_garbage():
 
 
 def test_cellset_from_empty_text():
-    assert len(CellSet.from_text("", 2, 3)) == 0
+    # a file with no rows is an empty set, and no warning about it escapes
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert len(CellSet.from_text("", 2, 3)) == 0
+        assert len(CellSet.from_text("\n \n", 2, 3)) == 0
+    assert caught == []
+
+
+def test_cellset_from_text_one_line_of_one_coordinate():
+    assert CellSet.from_text("5\n", 1, 9) == CellSet.from_cells(1, 9, [(5,)])
 
 
 # -- run: frozen hand simulations ---------------------------------------------

@@ -149,10 +149,12 @@ def cell_texts(draw):
     """Cell files for [n]^d: valid rows, with "+" signs, leading zeros, tabs
     and duplicates, among blank and whitespace-only lines, with CRLF or LF
     endings; now and then a row with a coordinate out of range (huge ones
-    and ones past int64 included), a token too many or too few, or a token
-    that is not an integer, or a row cut in two by a line break.  Half the
-    files also break lines with one of the other breaks of str.splitlines,
-    and half separate tokens with no-break spaces too, which str.split
+    and ones past int64 included), a token too many or too few, a token
+    that is not an integer (a comment mark, a comma, quotes, NUL and "nan"
+    among them) or one that int reads from non-ASCII digits, or a row cut
+    in two by a line break.  Half the files also break lines with one of
+    the other breaks of str.splitlines, and half separate tokens with
+    no-break spaces, "\x1f" or ideographic spaces too, which str.split
     takes for blanks."""
     d = draw(st.integers(min_value=1, max_value=4))
     n = draw(st.integers(min_value=1, max_value=5))
@@ -163,14 +165,17 @@ def cell_texts(draw):
     outside = st.sampled_from(
         ["0", "-0", "-1", str(n + 1), "1_000", "10" * 12, "9" * 19, "+" + "9" * 19, "-" + "9" * 19]
     )
-    junk = st.sampled_from(["x", "1.5", "--1", "+-1", "-", "1-2", "0x1", "1e2"])
+    junk = st.sampled_from(
+        ["x", "1.5", "--1", "+-1", "-", "1-2", "0x1", "1e2", "#", "#1", "1#", "1,2", '"1"', "nan", "\x00"]
+        + ["\u0663", "\uff11"]  # int reads these as 3 and 1
+    )
     rows = {
         "row": st.lists(coord, min_size=d, max_size=d),
         "range": st.lists(st.one_of(coord, outside), min_size=d, max_size=d),
         "count": st.lists(coord, min_size=d + 1, max_size=d + 1) | st.lists(coord, min_size=d - 1, max_size=d - 1),
         "junk": st.lists(st.one_of(coord, junk), min_size=1, max_size=d + 1),
     }
-    gap = st.sampled_from([" ", "  ", "\t", " \t"] + ["\xa0", " \xa0"] * nbsp)
+    gap = st.sampled_from([" ", "  ", "\t", " \t"] + ["\xa0", " \xa0", "\x1f", "\u3000"] * nbsp)
     breaks = st.sampled_from(["\n", "\r\n"] + odd_breaks)
     kinds = ["row"] * 6 + ["blank", "space", "repeat", "split"] + ["range", "count", "junk"] * draw(st.booleans())
     lines = []
