@@ -22,11 +22,16 @@ not percolate below a limit.  Whoever tests a unit reduces its times to a
 summary of a few ints (:func:`_unit_summary`), and searches read only the
 summaries: the first percolating position (smallest size), or the least
 time and its first position (least time); minimality asks whether any
-single removal percolates.  Every returned witness is re-validated with an
-independent engine run before the result is handed back.  A search up to
-symmetry runs the same units and only counts its candidates differently:
-Burnside's lemma for the sizes below the hit, a bit-sliced canonicality
-test on the seed planes at it, each unit's count made where it is tested.
+single removal percolates.  On a grid with r >= d the perimeter bound
+decides most candidates before the kernel (:func:`_perimeter_floor`): no
+set of fewer than n^(d-1) cells percolates, so those sizes are counted and
+not run, and at n^(d-1) cells only the candidates with no two neighbouring
+cells are, each other one getting the -1 that the kernel would give it.
+Every returned witness is re-validated with an independent engine run
+before the result is handed back.  A search up to symmetry runs the same
+units and only counts its candidates differently: Burnside's lemma for the
+sizes below the hit, a bit-sliced canonicality test on the seed planes at
+it, each unit's count made where it is tested.
 """
 
 from __future__ import annotations
@@ -47,14 +52,16 @@ from .lattice import LATTICE_CACHE_SIZE, BudgetExceededError, LatticeSpec, NoPer
 
 DEFAULT_BUDGET = 10**8
 
-# Searches whose candidates times cells (the kernel's work) fall below this
-# run in this process whatever their parallelism: starting a pool costs more
-# than they take.  Measured in process on min-time searches, two workers on
+# Searches whose candidates times cells (the kernel's work, counted over the
+# sizes it runs) fall below this run in this process whatever their
+# parallelism: starting a pool costs more than they take.  Measured in
+# process on min-time searches before the perimeter bound, two workers on
 # two cores, the pool lost up to 51 M candidate cells.  As CLI jobs on that
-# host, one process / two workers, medians of 10 and of 12 interleaved runs,
-# it still loses just past this: min-time on [6]^2 at size 6 (70.1 M) 0.42 /
-# 0.45 and 0.34 / 0.42 s, min-size on [6]^2 up to 6 (86.1 M) 0.36 / 0.40 and
-# 0.45 / 0.48 s; min-size on [3]^3 up to 9 (221 M) 0.62 / 0.60 and 0.70 / 0.59 s.
+# host, one process / two workers, medians of 10 interleaved runs, it loses
+# past this on searches that stop at the perimeter floor, where the bound
+# leaves the kernel little work: min-time on [6]^2 at size 6 (70.1 M) 0.33 /
+# 0.44 s, min-size on [6]^2 up to 6 (70.1 M) 0.28 / 0.37 s and on [3]^3 up
+# to 9 (126.5 M) 0.28 / 0.37 s.
 _POOL_MIN_CELLS = 2**26
 
 
@@ -80,7 +87,8 @@ class SearchResult:
 @lru_cache(maxsize=2)
 def _kept(*shape: int) -> np.ndarray:
     """A ``uint64`` array of this shape kept for the process, for the last
-    two shapes asked for: a search unit's planes, and the buffer whose
+    two shapes asked for: a search unit's planes (with a second slab for
+    the words that :func:`_unpaired_times` packs), and the buffer whose
     leading entries hold the working arrays of the rounds that
     :func:`_times` reads off them, at whatever width the rounds narrowed to.
 
@@ -192,13 +200,57 @@ def _unit_summary(spec: LatticeSpec, limit: int | None, *bounds: int) -> tuple:
     least entry >= 0 and ``at`` the first position holding it, each -1
     when no entry is >= 0."""
     unit = _Unit(spec.size, *bounds)
-    times = _times(spec, unit.planes(_kept(spec.size, len(unit.valid))), limit)[_bits(unit.valid)]
+    # the unit's planes, and room for the words that the perimeter bound leaves
+    kept = _kept(2, spec.size, len(unit.valid))
+    planes = unit.planes(kept[0])
+    if bounds[0] == _perimeter_floor(spec):
+        times = _unpaired_times(spec, planes, unit.valid, limit, kept[1])
+    else:
+        times = _times(spec, planes, limit)
+    times = times[_bits(unit.valid)]
     percolating = times >= 0
     if not percolating.any():
         return bounds, len(times), -1, -1, -1
     # as unsigned, -1 is the largest entry: argmin is the first least time
     at = int(np.argmin(times.view(np.uint32)))
     return bounds, len(times), int(np.argmax(percolating)), int(times[at]), at
+
+
+def _perimeter_floor(spec: LatticeSpec) -> int:
+    """n^(d-1) on a grid with r >= d, and 0 otherwise: there, no set of
+    fewer cells percolates, and no set of exactly n^(d-1) cells that holds
+    two neighbouring cells.
+
+    The perimeter argument: a cell infected by at least d of its 2d
+    neighbours takes at least d edges out of the perimeter and adds at most
+    d, so the perimeter never grows, and the full grid's is 2d n^(d-1).  A
+    set of k cells with e edges between them has perimeter 2dk - 2e, so a
+    percolating one has e <= d(k - n^(d-1)).
+    """
+    return spec.n ** (spec.d - 1) if spec.topology == "grid" and spec.r >= spec.d else 0
+
+
+def _unpaired_times(spec: LatticeSpec, planes: np.ndarray, valid: np.ndarray, limit: int | None,
+                    spare: np.ndarray) -> np.ndarray:
+    """:func:`_times` of the candidates of ``planes`` (the bits of ``valid``)
+    on a grid whose :func:`_perimeter_floor` is their size: -1 for every
+    candidate that holds two neighbouring cells, which no round is run for.
+    The pairs are one AND of neighbouring slabs of the planes, viewed as
+    ``(n,) * d + (words,)``, per axis; the words with a candidate left are
+    packed into ``spare``, a (size, words) array as wide as the planes."""
+    view, alive, flat = planes.reshape((spec.n,) * spec.d + (-1,)), valid.copy(), spare.reshape(-1)
+    for axis in range(spec.d):
+        slabs = np.moveaxis(view, axis, 0)
+        pairs = np.bitwise_and(slabs[1:], slabs[:-1], out=flat[: slabs[1:].size].reshape(slabs[1:].shape))
+        alive &= ~np.bitwise_or.reduce(pairs, axis=tuple(range(spec.d)))
+    words = np.flatnonzero(alive)
+    times = np.full(64 * len(valid), -1, dtype=np.int32)
+    if len(words):
+        # unbuffered into spare, unlike mode="raise"
+        packed = np.take(planes, words, axis=1, out=flat[: spec.size * len(words)].reshape(spec.size, -1), mode="clip")
+        packed &= alive[words]  # a cleared candidate is the empty set, which never percolates
+        times.reshape(-1, 64)[words] = _times(spec, packed, limit).reshape(-1, 64)
+    return times
 
 
 # -- counting up to symmetry -------------------------------------------------
@@ -409,10 +461,13 @@ def min_percolating_size(
         raise ValueError(f"max_size must be >= 0, got {max_size}")
     max_size = min(max_size, spec.size)
     sizes = _sizes_within_budget(spec.size, range(1, max_size + 1), budget)
-    parallelism = _search_parallelism(spec, sum(comb(spec.size, k) for k in sizes), parallelism)
-    calls = ((spec, None, *unit) for k in sizes for unit in _units(spec.size, k))
+    # no set below the perimeter floor percolates: those sizes are counted, not run
+    floor = _perimeter_floor(spec)
+    tested = [k for k in sizes if k >= floor]
+    parallelism = _search_parallelism(spec, sum(comb(spec.size, k) for k in tested), parallelism)
+    calls = ((spec, None, *unit) for k in tested for unit in _units(spec.size, k))
     results = ordered_results(_unit_summary, calls, parallelism)
-    examined, hit = 0, None
+    examined, hit = sum(comb(spec.size, k) for k in sizes if k < floor), None
     with closing(results):
         for bounds, candidates, first, _, _ in results:
             if first >= 0:
@@ -461,6 +516,9 @@ def min_percolation_time(
     if size == 0:
         # the empty set never percolates a nonempty lattice
         raise NoPercolatingSetError(f"no percolating set of size 0 on {spec.size} cells")
+    none = f"no percolating set of size {size} in [{spec.n}]^{spec.d} ({spec.topology}, r={spec.r})"
+    if size < _perimeter_floor(spec):
+        raise NoPercolatingSetError(none)
     floor_time = 0 if size == spec.size else 1
     best: int | None = None
     best_witness: tuple[int, ...] | None = None
@@ -478,9 +536,7 @@ def min_percolation_time(
                     break
             examined += candidates
     if best is None:
-        raise NoPercolatingSetError(
-            f"no percolating set of size {size} in [{spec.n}]^{spec.d} ({spec.topology}, r={spec.r})"
-        )
+        raise NoPercolatingSetError(none)
     witness = CellSet.from_indices(spec.d, spec.n, best_witness)
     _revalidate_percolation(spec, witness, expect_time=best)
     return SearchResult("min_time", best, witness, examined, True)
@@ -490,14 +546,17 @@ def is_minimal(spec: LatticeSpec, cells: CellSet) -> bool:
     """True iff the set percolates and no single-cell removal still percolates.
 
     Because infection is monotone, surviving every single removal is
-    equivalent to no proper subset percolating at all.  Non-percolating
-    input is a domain error.
+    equivalent to no proper subset percolating at all.  A percolating set
+    of :func:`_perimeter_floor` cells is minimal with no removal tested.
+    Non-percolating input is a domain error.
     """
     _check_compatible(spec, cells)
     members = _index_array(cells)
     if _times(spec, _seed_planes(spec.size, members[None, :]))[0] < 0:
         raise ValueError("set does not percolate; minimality is undefined")
     m = len(members)
+    if m == _perimeter_floor(spec):
+        return True  # every removal falls below the floor
     removals = np.broadcast_to(members, (m, m))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
     # the padding bits are empty sets, which never percolate
     return not (_times(spec, _seed_planes(spec.size, removals)) >= 0).any()

@@ -119,6 +119,26 @@ MUTANTS = [
         "CHANGES.md, search rounds skip settled words (the counter's dead levels)",
     ),
     Mutant(
+        "perimeter-floor-plus-one", "bootperc/extremal.py",
+        "return spec.n ** (spec.d - 1) if", "return spec.n ** (spec.d - 1) + 1 if",
+        (_EXTREMAL + "test_min_size_examines_every_smaller_set_and_the_witness_colex_rank",
+         _EXTREMAL + "test_perimeter_prune_matches_the_unpruned_search"),
+        "CHANGES.md, the perimeter bound decides grid searches (a floor one past n^(d-1))",
+    ),
+    Mutant(
+        "perimeter-floor-on-any-lattice", "bootperc/extremal.py",
+        'spec.topology == "grid" and spec.r >= spec.d', 'spec.topology == "grid" or spec.r >= spec.d',
+        (_EXTREMAL + "test_min_size_examines_every_smaller_set_and_the_witness_colex_rank",
+         _EXTREMAL + "test_perimeter_floor_only_on_grids_with_r_at_least_d"),
+        "CHANGES.md, the perimeter bound decides grid searches (the prune on a torus or with r < d)",
+    ),
+    Mutant(
+        "perimeter-prune-above-the-floor", "bootperc/extremal.py",
+        "if bounds[0] == _perimeter_floor(spec):", "if bounds[0] >= _perimeter_floor(spec):",
+        (_EXTREMAL + "test_min_size_examines_every_smaller_set_and_the_witness_colex_rank",),
+        "CHANGES.md, the perimeter bound decides grid searches (neighbouring pairs cleared past the floor)",
+    ),
+    Mutant(
         "seed-planes-first-slab-only", "bootperc/colex.py",
         "slab = rows[first : first + _SLAB]", "slab = rows[:_SLAB]",
         (_EXTREMAL + "test_seed_planes_match_a_bool_scatter",),

@@ -21,10 +21,11 @@ from bootperc.colex import (
     _units,
 )
 from bootperc.constructions import diagonal, hyperplane_union
-from bootperc.dynamics import CellSet, closure, ordered_results, run
+from bootperc.dynamics import CellSet, closure, ordered_results, perimeter, run
 from bootperc.extremal import (
     BudgetExceededError,
     NoPercolatingSetError,
+    SearchResult,
     _every,
     _rounds,
     is_minimal,
@@ -426,6 +427,98 @@ def test_unit_summary_matches_a_reduction_of_times(topology):
     assert kinds == {"none", "first is least", "later least"}
 
 
+# -- the perimeter bound ------------------------------------------------------------
+
+
+def _percolating_sets(spec, k, step=2**16):
+    """Every percolating k-set of the lattice, as rows of ascending indices,
+    found by the plain ``extremal._times`` over ``_seed_planes``."""
+    found = []
+    for first in range(0, comb(spec.size, k), step):
+        rows = _colex_chunk(spec.size, k, first, min(first + step, comb(spec.size, k)))
+        times = extremal._times(spec, _seed_planes(spec.size, rows))[: len(rows)]
+        found.append(rows[times >= 0])
+    return np.concatenate(found)
+
+
+@pytest.mark.parametrize(
+    "spec,top",
+    [
+        (LatticeSpec(2, 4), 5), (LatticeSpec(2, 4, r=3), 16), (LatticeSpec(2, 5), 5), (LatticeSpec(2, 5, r=3), 7),
+        (LatticeSpec(3, 2), 8), (LatticeSpec(3, 2, r=4), 8), (LatticeSpec(3, 3), 9), (LatticeSpec(3, 3, r=4), 8),
+        (LatticeSpec(4, 2), 16),
+    ],
+    ids=str,
+)
+def test_percolating_sets_keep_the_perimeter_floor(spec, top):
+    # the perimeter argument behind the searches' floor, checked with no
+    # search: with r >= d the perimeter never grows and the full grid's is
+    # 2d n^(d-1), so every percolating set of up to top cells has at least
+    # that perimeter, and none has fewer than n^(d-1) cells
+    d, n = spec.d, spec.n
+    perimeters = {}
+    for k in range(1, top + 1):
+        sets = [CellSet.from_indices(d, n, row.tolist()) for row in _percolating_sets(spec, k)]
+        perimeters[k] = [perimeter(spec, cells) for cells in sets]
+        assert all(p >= 2 * d * n ** (d - 1) for p in perimeters[k]), (spec, k)
+    assert not any(perimeters[k] for k in range(1, n ** (d - 1)))
+    if spec == LatticeSpec(3, 3):
+        # the 116 percolating nine-sets hold no two neighbouring cells: each
+        # member pays for all of its 2d faces
+        assert perimeters[9] == [2 * d * 9] * 116
+
+
+def test_perimeter_floor_only_on_grids_with_r_at_least_d():
+    grids = [(1, 7, 1), (1, 7, 2), (2, 5, 2), (2, 5, 4), (3, 3, 3), (3, 3, 6)]
+    assert [extremal._perimeter_floor(LatticeSpec(d, n, r=r)) for d, n, r in grids] == [1, 1, 5, 5, 9, 9]
+    assert extremal._perimeter_floor(LatticeSpec(2, 5, r=1)) == extremal._perimeter_floor(LatticeSpec(3, 3, r=2)) == 0
+    assert all(extremal._perimeter_floor(LatticeSpec(2, 5, "torus", r)) == 0 for r in range(1, 5))
+
+
+def _outcome(search):
+    """A search's result, or the type, message and count of what it raised."""
+    try:
+        return search()
+    except (BudgetExceededError, NoPercolatingSetError) as error:
+        return type(error), str(error), getattr(error, "examined", None)
+
+
+def _floor_searches(spec):
+    """Min-size searches with and without symmetry that hit, find nothing
+    or are refused by the budget, and min-time searches at sizes around the
+    perimeter floor."""
+    floor = spec.n ** (spec.d - 1)
+    below = max(1, sum(comb(spec.size, k) for k in range(1, floor)))
+    searches = [
+        lambda symmetry=symmetry, budget=budget: min_percolating_size(spec, spec.size, symmetry=symmetry, budget=budget)
+        for symmetry in (False, True) for budget in (None, below)
+    ]
+    searches += [lambda: min_percolating_size(spec, floor - 1, symmetry=True),
+                 lambda: min_percolating_size(spec, floor)]
+    sizes = range(1, min(floor + 2, spec.size) + 1)
+    searches += [lambda size=size: min_percolation_time(spec, size) for size in sizes]
+    return searches
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [LatticeSpec(1, 7, r=r) for r in (1, 2)] + [LatticeSpec(2, 4, r=r) for r in (2, 3, 4)]
+    + [LatticeSpec(3, 2, r=r) for r in range(3, 7)] + [LatticeSpec(4, 2, r=r) for r in range(4, 9)]
+    + [LatticeSpec(2, 5)],
+    ids=str,
+)
+def test_perimeter_prune_matches_the_unpruned_search(monkeypatch, spec):
+    # the floor skips sizes and clears sets with a neighbouring pair at it;
+    # with the floor at 0 every candidate runs through the kernel.  Results,
+    # witnesses, counts and errors agree
+    pruned = [_outcome(search) for search in _floor_searches(spec)]
+    monkeypatch.setattr(extremal, "_perimeter_floor", lambda spec: 0)
+    assert [_outcome(search) for search in _floor_searches(spec)] == pruned
+    if spec == LatticeSpec(2, 4):
+        kinds = {type(outcome) if isinstance(outcome, SearchResult) else outcome[0] for outcome in pruned}
+        assert kinds == {SearchResult, BudgetExceededError, NoPercolatingSetError}
+
+
 # -- min_percolating_size --------------------------------------------------------
 
 
@@ -674,6 +767,9 @@ def test_symmetric_torus_search_holds_no_map_table(spec):
          [(1, 1, 3), (1, 2, 2), (1, 3, 1), (1, 3, 3), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 1, 3), (3, 3, 1)]),
         (LatticeSpec(2, 5, "torus"), 25, 4005, [(1, 2), (1, 4), (2, 1), (4, 1)]),
         (LatticeSpec(3, 3, r=2), 9, 6385, [(1, 1, 1), (1, 1, 3), (1, 3, 1), (3, 1, 1)]),
+        # above the floor of 4 a percolating set may hold neighbouring cells
+        (LatticeSpec(2, 4, r=3), 16, 54983,
+         [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 4), (3, 3), (4, 1), (4, 2), (4, 4)]),
     ],
 )
 def test_min_size_examines_every_smaller_set_and_the_witness_colex_rank(spec, max_size, examined, witness):
@@ -740,17 +836,23 @@ def test_one_neighbour_minimum_is_one():
         lambda p: min_percolating_size(LatticeSpec(2, 4), 3, symmetry=True, parallelism=p),  # no hit
         lambda p: min_percolation_time(LatticeSpec(2, 4), 4, parallelism=p),
         lambda p: min_percolation_time(LatticeSpec(3, 2), 4, parallelism=p),  # floor-time hit
+        lambda p: min_percolating_size(LatticeSpec(2, 4), 16, budget=700, parallelism=p),
+        lambda p: min_percolation_time(LatticeSpec(3, 2, r=4), 4, parallelism=p),  # none at the floor
     ],
     ids=["size-hit", "size-no-hit", "size-symmetry", "size-symmetry-torus", "size-symmetry-no-hit", "time",
-         "time-floor-hit"],
+         "time-floor-hit", "size-budget", "time-none"],
 )
 def test_parallel_search_over_many_chunks_matches_serial(monkeypatch, search):
     # one-word units, blocks on [4]^2 from k = 3, and a pool however small
-    # the search
+    # the search; with the perimeter floor at 0 the pool runs every
+    # candidate through the kernel, and gives the same outcome
     monkeypatch.setattr(colex, "_CHUNK_WORDS", 1)
     monkeypatch.setattr(colex, "_CHUNK_CELLS", 2**12)
     monkeypatch.setattr(extremal, "_POOL_MIN_CELLS", 0)
-    assert search(2) == search(1)
+    pooled = _outcome(lambda: search(2))
+    assert _outcome(lambda: search(1)) == pooled
+    monkeypatch.setattr(extremal, "_perimeter_floor", lambda spec: 0)
+    assert _outcome(lambda: search(2)) == pooled
     assert multiprocessing.active_children() == []
 
 
@@ -880,6 +982,18 @@ def test_min_time_matches_engine_on_witness():
 
 def test_hyperplane_union_is_minimal_on_small_squares():
     assert is_minimal(LatticeSpec(2, 3), hyperplane_union(2, 3)) is True
+
+
+def test_a_percolating_set_at_the_perimeter_floor_is_minimal_unchecked(monkeypatch):
+    # every removal falls below n^(d-1): only the set itself is run
+    calls = []
+    times = extremal._times
+    monkeypatch.setattr(extremal, "_times", lambda *args: calls.append(args[1].shape) or times(*args))
+    assert is_minimal(LatticeSpec(3, 3), hyperplane_union(3, 3)) is True
+    assert calls == [(27, 1)]
+    # above the floor the removals are run too
+    assert is_minimal(LatticeSpec(2, 4, r=3), CellSet.full(2, 4)) is False
+    assert len(calls) == 3
 
 
 def test_single_removal_failure_example():
