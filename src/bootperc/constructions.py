@@ -33,7 +33,8 @@ def shifted_union(d: int, n: int) -> CellSet:
     """Union of the level sets at i*n - floor(n/2) for i = 1..d.
 
     Percolation is checked, not proved: every level residue class, this one
-    included, percolates for d = 1 (n <= 29), 2 (n <= 40), 3 (n <= 20), 4 (n <= 10).
+    included, percolates for d = 1 (n <= 29), 2 (n <= 60), 3 (n <= 60),
+    4 (n <= 24), 5 (n <= 14) and 6 (n <= 10), run once on the orbit engine.
     """
     # every level lies in [d, d*n], so the levels i*n - floor(n/2) for
     # i = 1..d are exactly those congruent to -floor(n/2) mod n

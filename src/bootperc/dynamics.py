@@ -30,7 +30,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from . import lattice
 from .lattice import Cell, LatticeSpec, cell_at, cell_index, coordinates, face_codes, neighbor_rows, neighbors
 
 # Table rows :func:`_write_document` fills per write: a few MB of text, so a
@@ -438,9 +437,7 @@ def run(
     )
 
 
-def _infect(
-    spec: LatticeSpec, seeds: np.ndarray, codes: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _infect(spec: LatticeSpec, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Infection rounds, infected-neighbour counts and last round T of the
     run from the cells at the indices ``seeds``.
 
@@ -451,9 +448,6 @@ def _infect(
     within it, join the next frontier.  Rounds are written only after a
     round's last block, so a count takes in every hit of its round, and
     the engine holds one block of rows however large the frontier grows.
-    The per-cell ``codes`` default to the lattice's face codes; a box of
-    stacked lattices (see :func:`neighbor_rows`) runs them all in one loop,
-    and its cells that no row reaches keep round -1 and count 0.
 
     Per cell the engine holds one uint8 count and one int32 round.  Until
     the run ends ``counts`` holds each count minus r, mod 256, so a cell
@@ -463,9 +457,7 @@ def _infect(
     cell has a neighbour.  The test costs what ``count >= r`` would, and a
     cell that crossed in an earlier block of its round is not listed again.
     """
-    if codes is None:
-        codes = lattice.face_codes(spec.d, spec.n)
-    size, shift = len(codes), -spec.r % 256
+    size, shift = spec.size, -spec.r % 256
     times = np.full(size, -1, dtype=np.int32)
     times[seeds] = 0
     counts = np.full(size, shift, dtype=np.uint8)
@@ -474,7 +466,7 @@ def _infect(
     while len(frontier):
         crossed = []
         for start in range(0, len(frontier), _ROUND_CELLS):
-            hits = neighbor_rows(spec, frontier[start : start + _ROUND_CELLS], codes).ravel("K")  # no copy
+            hits = neighbor_rows(spec, frontier[start : start + _ROUND_CELLS]).ravel("K")  # no copy
             # drops the grid's self entries too: every row's own cell is infected
             hits = hits[times[hits] < 0]
             # each distinct index and its multiplicity, as the runs of the

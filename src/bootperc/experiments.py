@@ -1,5 +1,6 @@
 """Scripted verification campaigns: strip filling, hyperplane separation,
-and percolation-time sweeps with quadratic least-squares fits.
+and percolation-time sweeps on coordinate-permutation orbits with quadratic
+least-squares fits.
 """
 
 from __future__ import annotations
@@ -7,18 +8,19 @@ from __future__ import annotations
 import bisect
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
+from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .constructions import SWEEP_CONSTRUCTIONS, build_construction
-from .dynamics import CellSet, _infect, ordered_results, run
-from .lattice import BudgetExceededError, LatticeSpec, face_codes, levels
+from .dynamics import CellSet, ordered_results, run
+from .lattice import BudgetExceededError, LatticeSpec, levels
 
 # cap on n**d for a single sweep run; large d=5 campaigns must raise it explicitly
 DEFAULT_CELL_BUDGET = 1 << 23
-# cap on the cells of one box of stacked sweep lattices (about 2 MB of engine state)
-_BATCH_CELLS = 1 << 18
+# cap on the int32 entries (2d per orbit) of one batch's orbit table: 1 MB
+_BATCH_ENTRIES = 1 << 18
 
 
 def verify_strip_fill(d: int, n: int, s: int) -> bool:
@@ -137,11 +139,11 @@ class SweepTable:
 
 
 def _batches(d: int, ns: Iterable[int], cap: int) -> Iterator[list[int]]:
-    """Ascending ``ns`` in consecutive groups whose :func:`_sweep_batch` box
-    has at most ``cap`` cells; a lattice over ``cap`` forms a group alone."""
+    """Ascending ``ns`` in consecutive groups of at most ``cap`` orbits
+    together; a lattice over ``cap`` forms a group alone."""
     batch: list[int] = []
     for n in ns:
-        if batch and (sum(batch) + n) * n ** (d - 1) > cap:
+        if batch and sum(comb(m + d - 1, d) for m in (*batch, n)) > cap:
             yield batch
             batch = []
         batch.append(n)
@@ -150,35 +152,86 @@ def _batches(d: int, ns: Iterable[int], cap: int) -> Iterator[list[int]]:
 
 
 def _sweep_batch(d: int, ns: list[int], construction: str) -> list[SweepRow]:
-    """The rows of the ascending sides ``ns``, from one engine run.
-
-    The lattices [n]^d are stacked as slabs along axis 0 of a box of shape
-    (sum(ns), N, ..., N), N = max(ns), with the strides of [N]^d.  Each
-    slab holds its lattice's seeds and face codes in its corner, so every
-    step off a lattice's face leads back to the cell (see
-    :func:`neighbor_rows`) and no row reaches the padding or another slab.
-    One lattice is the box itself, run on its own face codes.
-    """
+    """The rows of the ascending sides ``ns``, from one orbit engine run."""
     initials = [build_construction(construction, d, n) for n in ns]
-    shape = (sum(ns),) + (ns[-1],) * (d - 1)
-    starts = np.cumsum([0, *ns]).tolist()
-    slabs = [(slice(a, a + n),) + (slice(n),) * (d - 1) for a, n in zip(starts, ns)]
-    if len(ns) == 1:
-        codes, seeds = None, np.flatnonzero(initials[0]._mask())
-    else:
-        codes = np.zeros(shape, dtype=face_codes(d, ns[0]).dtype)
-        seeded = np.zeros(shape, dtype=bool)
-        for n, slab, initial in zip(ns, slabs, initials):
-            codes[slab] = face_codes(d, n).reshape((n,) * d)
-            seeded[slab] = initial._mask().reshape((n,) * d)
-        codes, seeds = codes.ravel(), np.flatnonzero(seeded)
-        del seeded
-    times = _infect(LatticeSpec(d, ns[-1], "grid", d), seeds, codes)[0].reshape(shape)
     rows = []
-    for n, slab, initial in zip(ns, slabs, initials):
-        T = max(int(times[slab].max()), 0)  # an empty seed set has T = 0
-        rows.append(SweepRow(n, T, bool(times[slab].min() >= 0), len(initial), T <= (d + 2) * n * n + n))
+    for n, initial, times in zip(ns, initials, _orbit_times(initials, d)):
+        T = max(int(times.max()), 0)  # an empty seed set has T = 0
+        rows.append(SweepRow(n, T, bool(times.min() >= 0), len(initial), T <= (d + 2) * n * n + n))
     return rows
+
+
+def _orbits(d: int, n: int) -> np.ndarray:
+    """The non-decreasing 0-based coordinate tuples y of [n]^d in colex
+    order (rank sum_i comb(y_i + i, i + 1)), in the smallest signed dtype
+    that holds n + d.  The tuples of length i that end in t are the first
+    comb(t + i - 1, i - 1) of length i - 1, each followed by t."""
+    y = np.empty((1, 0), dtype=np.min_scalar_type(-(n + d)))
+    for i in range(1, d + 1):
+        counts = [comb(t + i - 1, i - 1) for t in range(n)]
+        y = np.column_stack((np.concatenate([y[:count] for count in counts]),
+                             np.repeat(np.arange(n, dtype=y.dtype), counts)))
+    return y
+
+
+def _orbit_rows(y: np.ndarray, n: int, rows: np.ndarray, start: int) -> None:
+    """Fill ``rows``, ``_BATCH_ENTRIES`` entries at a time, with ``start`` plus
+    the orbit ranks of the 2d grid neighbours of each :func:`_orbits` tuple;
+    off the grid, the tuple's own.  With z_i = y_i + i, raising y_a raises
+    the last entry p of its run of equal values, so the rank gains comb(z_p,
+    p); lowering it lowers the run's first entry q, so the rank loses
+    comb(z_q - 1, q).  Inside a run a column copies its neighbour's."""
+    d = y.shape[1]
+    binom = np.array([[comb(m, i) for i in range(d)] for m in range(n + d - 1)], dtype=np.int32)
+    chunk = _BATCH_ENTRIES // (2 * d)
+    for low in range(0, len(y), chunk):
+        part, out = y[low : low + chunk], rows[low : low + chunk]
+        rank = np.arange(start + low, start + low + len(part), dtype=np.int32)
+        for a in range(d):
+            # binom's row -1 is read only where y_a == 0, which takes the rank instead
+            step = np.where(part[:, a] > 0, rank - binom[part[:, a] + (a - 1), a], rank)
+            out[:, 2 * a] = step if a == 0 else np.where(part[:, a] == part[:, a - 1], out[:, 2 * a - 2], step)
+        for a in reversed(range(d)):
+            step = np.where(part[:, a] < n - 1, rank + binom[part[:, a] + a, a], rank)
+            out[:, 2 * a + 1] = step if a == d - 1 else np.where(part[:, a] == part[:, a + 1], out[:, 2 * a + 3], step)
+
+
+def _orbit_times(initials: list[CellSet], r: int) -> list[np.ndarray]:
+    """Per grid run under threshold ``r`` from each of ``initials`` (of one
+    d), the infection round of every orbit of :func:`_orbits`, -1 for never.
+
+    Every cell of an orbit of an invariant seed has its representative's
+    time; a seed that a transposition of adjacent axes changes is refused.
+    One loop runs the :func:`_orbit_rows` tables stacked with rank offsets.
+    Each round, the healthy orbits in the rows of the last round's, sorted
+    and deduplicated, count their infected entries.
+    """
+    d = initials[0].d
+    ends = np.cumsum([comb(initial.n + d - 1, d) for initial in initials]).tolist()
+    times = np.full(ends[-1], -1, dtype=np.int32)
+    rows = np.empty((ends[-1], 2 * d), dtype=np.int32)
+    for initial, start, end in zip(initials, [0, *ends], ends):
+        n = initial.n
+        mask = initial._mask().reshape((n,) * d)
+        if not all(np.array_equal(mask, np.swapaxes(mask, a, a + 1)) for a in range(d - 1)):
+            raise ValueError(f"the initial set of [{n}]^{d} is not invariant under permuting the coordinates")
+        y = _orbits(d, n)
+        times[start:end][mask[tuple(y.T)]] = 0
+        del mask  # the table is built after the mask has gone
+        _orbit_rows(y, n, rows[start:end], start)
+    frontier, ones, t = np.flatnonzero(times == 0), np.ones(2 * d, dtype=np.uint8), 0
+    # on these short arrays take, compress and put cost a quarter to a third
+    # less per round than the subscripts that spell them
+    while len(frontier):
+        hits = rows.take(frontier, axis=0).ravel()
+        hits = hits.compress(times.take(hits) < 0)
+        hits.sort()
+        candidates = hits.compress(np.concatenate((hits[:1] >= 0, hits[1:] != hits[:-1])))  # each first of a run
+        # a product with ones counts a row's entries many times faster than sum(axis=1)
+        frontier = candidates.compress((times.take(rows.take(candidates, axis=0)) >= 0).view(np.uint8) @ ones >= r)
+        t += 1
+        times.put(frontier, t)
+    return np.split(times, ends[:-1])
 
 
 def _quadratic_fit(rows: list[SweepRow]) -> dict | None:
@@ -207,10 +260,10 @@ def sweep_time(
 ) -> SweepTable:
     """Run the given construction once per n and tabulate percolation times.
 
-    Consecutive n are run together by :func:`_sweep_batch` in boxes of at
-    most ``min(_BATCH_CELLS, cell_budget)`` cells; with ``parallelism > 1``
-    the batches run in a process pool.  The rows are those of one
-    :func:`run` per n.
+    Consecutive n are run together by :func:`_sweep_batch` in batches of
+    at most ``min(_BATCH_ENTRIES // 2d, cell_budget)`` orbits; with
+    ``parallelism > 1`` the batches run in a process pool.  The rows are those of one
+    :func:`run` per n, and the cell budget still caps each n**d.
     """
     if construction not in SWEEP_CONSTRUCTIONS:
         raise ValueError(f"unknown sweep construction {construction!r} (choose from {SWEEP_CONSTRUCTIONS})")
@@ -232,6 +285,7 @@ def sweep_time(
         first = bisect.bisect_left(ns, top)
     for n in ns[first:first + 1]:
         raise BudgetExceededError(f"n={n} needs {n**d} cells, over the cell budget of {cell_budget}")
-    calls = ((d, batch, construction) for batch in _batches(d, ns, min(_BATCH_CELLS, cell_budget)))
+    cap = min(_BATCH_ENTRIES // (2 * d), cell_budget)
+    calls = ((d, batch, construction) for batch in _batches(d, ns, cap))
     rows = list(chain.from_iterable(ordered_results(_sweep_batch, calls, parallelism)))
     return SweepTable(d=d, construction=construction, rows=rows, fit=_quadratic_fit(rows))

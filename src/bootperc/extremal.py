@@ -53,15 +53,10 @@ from .lattice import LATTICE_CACHE_SIZE, BudgetExceededError, LatticeSpec, NoPer
 DEFAULT_BUDGET = 10**8
 
 # Searches whose candidates times cells (the kernel's work, counted over the
-# sizes it runs) fall below this run in this process whatever their
-# parallelism: starting a pool costs more than they take.  Measured in
-# process on min-time searches before the perimeter bound, two workers on
-# two cores, the pool lost up to 51 M candidate cells.  As CLI jobs on that
-# host, one process / two workers, medians of 10 interleaved runs, it loses
-# past this on searches that stop at the perimeter floor, where the bound
-# leaves the kernel little work: min-time on [6]^2 at size 6 (70.1 M) 0.33 /
-# 0.44 s, min-size on [6]^2 up to 6 (70.1 M) 0.28 / 0.37 s and on [3]^3 up
-# to 9 (126.5 M) 0.28 / 0.37 s.
+# sizes it runs; see _search_parallelism) fall below this run in this
+# process whatever their parallelism: starting a pool costs more than they
+# take.  Measured in process on min-time searches before the perimeter
+# bound, two workers on two cores, the pool lost up to 51 M candidate cells.
 _POOL_MIN_CELLS = 2**26
 
 
@@ -427,9 +422,21 @@ def _revalidate_percolation(spec: LatticeSpec, witness: CellSet, expect_time: in
         )
 
 
-def _search_parallelism(spec: LatticeSpec, candidates: int, parallelism: int) -> int:
-    """``parallelism``, or 1 for a search too small to pay for a pool."""
-    return parallelism if candidates * spec.size >= _POOL_MIN_CELLS else 1
+def _search_parallelism(spec: LatticeSpec, sizes: Iterable[int], parallelism: int) -> int:
+    """``parallelism``, or 1 for a search too small to pay for a pool: one
+    whose kernel work, candidates times cells over the ``sizes``, falls
+    below ``_POOL_MIN_CELLS``.  At the perimeter floor the kernel runs only
+    the candidates with no two neighbouring cells, so that size is charged
+    their expected share, as if each of the E edges of the grid held both
+    ends of a k-set of N cells independently, with chance k(k-1)/(N(N-1));
+    on [n]^2 at size n, n = 5..8, that is 18-24% more than the exact count.
+    """
+    size, floor = spec.size, _perimeter_floor(spec)
+    edges = spec.d * spec.n ** (spec.d - 1) * (spec.n - 1)
+    # the floor size's share in 32-bit fixed point, so that no count of candidates becomes a float
+    share = round((1 - floor * (floor - 1) / max(size * (size - 1), 1)) ** edges * 2**32)
+    work = sum(comb(size, k) * (share if k == floor else 2**32) >> 32 for k in sizes)
+    return parallelism if work * size >= _POOL_MIN_CELLS else 1
 
 
 def min_percolating_size(
@@ -464,7 +471,7 @@ def min_percolating_size(
     # no set below the perimeter floor percolates: those sizes are counted, not run
     floor = _perimeter_floor(spec)
     tested = [k for k in sizes if k >= floor]
-    parallelism = _search_parallelism(spec, sum(comb(spec.size, k) for k in tested), parallelism)
+    parallelism = _search_parallelism(spec, tested, parallelism)
     calls = ((spec, None, *unit) for k in tested for unit in _units(spec.size, k))
     results = ordered_results(_unit_summary, calls, parallelism)
     examined, hit = sum(comb(spec.size, k) for k in sizes if k < floor), None
@@ -526,7 +533,7 @@ def min_percolation_time(
     # the generator reads ``best`` as each call is submitted, so the limit
     # tightens with the results consumed so far
     calls = ((spec, best, *unit) for unit in _units(spec.size, size))
-    results = ordered_results(_unit_summary, calls, _search_parallelism(spec, comb(spec.size, size), parallelism))
+    results = ordered_results(_unit_summary, calls, _search_parallelism(spec, [size], parallelism))
     with closing(results):
         for bounds, candidates, _, least, at in results:
             if least >= 0 and (best is None or least < best):

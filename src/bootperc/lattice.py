@@ -195,23 +195,20 @@ def face_codes(d: int, n: int) -> np.ndarray:
     return codes.reshape(-1)
 
 
-def neighbor_rows(spec: LatticeSpec, cells: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
+def neighbor_rows(spec: LatticeSpec, cells: np.ndarray) -> np.ndarray:
     """(len(cells), 2d) intp neighbour indices of the cells at the linear indices ``cells``.
 
     Column order matches :func:`neighbors`: (dim1-, dim1+, dim2-, dim2+, ...).
     An entry is the cell's index plus the column's step, except on the
-    faces marked in the cell's code: there it is the cell itself on the
-    grid (putmask repeats ``cells`` down the columns) and the opposite
-    face's cell on the torus.  The codes are :func:`face_codes` by default;
-    any per-cell codes over the strides of [n]^d may be given instead, such
-    as a box of grid lattices stacked along axis 0, each with its own face
-    codes in its corner, whose rows then never leave a lattice.  The result
-    is the transpose of a C-ordered (2d, len(cells)) array, so each numpy
-    call runs along the cells, not a row.
+    faces marked in the cell's :func:`face_codes` entry: there it is the
+    cell itself on the grid (putmask repeats ``cells`` down the columns)
+    and the opposite face's cell on the torus.  The result is the
+    transpose of a C-ordered (2d, len(cells)) array, so each numpy call
+    runs along the cells, not a row.
     """
     bits, step, wrap = _columns(spec.d, spec.n)
     columns = step + cells
-    on_face = bits & (face_codes(spec.d, spec.n) if codes is None else codes)[cells]
+    on_face = bits & face_codes(spec.d, spec.n)[cells]
     np.putmask(columns, on_face, columns + wrap if spec.topology == "torus" else cells)
     return columns.T
 

@@ -159,7 +159,7 @@ MUTANTS = [
     Mutant(
         "engine-last-block-only", "bootperc/dynamics.py",
         "frontier = crossed[0] if len(crossed) == 1 else np.concatenate(crossed)", "frontier = crossed[-1]",
-        ("tests/test_experiments.py::test_batched_sweep_matches_one_run_per_n[3-hyperplanes-blocks-of-3]",),
+        ("tests/test_dynamics.py::test_run_length_counts_match_the_oracle_on_random_seeds",),
         "ROADMAP item 15 (engine rounds in blocks: only the last block's crossings)",
     ),
     Mutant(
@@ -204,6 +204,20 @@ MUTANTS = [
         '", ".join(cells[bounds[k]:bounds[k + 1]])', '",".join(cells[bounds[k]:bounds[k + 1]])',
         ("tests/test_golden_output.py::test_snapshot_lines_are_pinned",),
         "CHANGES.md, record-path text at table speed (_stream_snapshots)",
+    ),
+    Mutant(
+        "orbit-rank-delta-off-by-one", "bootperc/experiments.py",
+        "rank - binom[part[:, a] + (a - 1), a]", "rank - binom[part[:, a] + a, a]",
+        ("tests/test_experiments.py::test_orbit_rows_are_the_sorted_neighbours",
+         "tests/test_experiments.py::test_orbit_times_match_the_engine_on_every_cell"),
+        "CHANGES.md, sweeps on the coordinate-permutation orbits (lowering y_a loses comb(z_q - 1, q))",
+    ),
+    Mutant(
+        "orbit-face-entry-is-a-neighbour", "bootperc/experiments.py",
+        "np.where(part[:, a] > 0,", "np.where(part[:, a] >= 0,",
+        ("tests/test_experiments.py::test_orbit_rows_are_the_sorted_neighbours",
+         "tests/test_experiments.py::test_orbit_times_match_the_engine_on_every_cell"),
+        "CHANGES.md, sweeps on the coordinate-permutation orbits (the low face of axis 1 reads the orbit ranked before)",
     ),
     Mutant(
         "oracle-threshold", "bootperc/dynamics.py",

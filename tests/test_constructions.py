@@ -1,6 +1,6 @@
-import numpy as np
 import pytest
 
+from bootperc import experiments
 from bootperc.constructions import (
     boundary,
     build_construction,
@@ -81,20 +81,25 @@ def test_shifted_union_behaviour_is_empirical():
     assert rec.percolates
 
 
-@pytest.mark.parametrize("d,max_n", [(1, 20), (2, 24), (3, 16), (4, 8)])
+@pytest.mark.parametrize("d,max_n", [(1, 20), (2, 24), (3, 30), (4, 14), (5, 8)])
 def test_level_residue_classes_are_smallest_percolating_sets(d, max_n):
     # R_a, the cells whose coordinate sum is a mod n, has n^(d-1) cells, no
     # two adjacent (perimeter 2d n^(d-1)); by the perimeter bound no smaller
     # set percolates under r = d, so each class that percolates is smallest.
+    # The classes of one n run together on the orbit engine.  The reflection
+    # x -> (n + 1) - x maps R_a to R_((d - a) mod n), so the two share T.
     # hyperplane_union is R_0 and shifted_union R_(-floor(n/2))
     for n in range(1, max_n + 1):
         spec = LatticeSpec(d, n)
         residues = levels(d, n) % n
-        classes = [CellSet.from_indices(d, n, np.flatnonzero(residues == a)) for a in range(n)]
+        classes = [CellSet._from_mask(d, n, residues == a) for a in range(n)]
         for a, cells in enumerate(classes):
             assert len(cells) == n ** (d - 1), (n, a)
             assert perimeter(spec, cells) == 2 * d * n ** (d - 1), (n, a)
-            assert run(spec, cells).percolates, (n, a)
+        times = experiments._orbit_times(classes, d)
+        assert all(t.min() >= 0 for t in times), n
+        T = [int(t.max()) for t in times]
+        assert all(T[a] == T[(d - a) % n] for a in range(n)), (n, T)
         assert hyperplane_union(d, n) == classes[0]
         assert shifted_union(d, n) == classes[-(n // 2) % n]
 

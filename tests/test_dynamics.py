@@ -396,8 +396,8 @@ def test_int32_table_gives_the_int64_results(monkeypatch, d, n, topology):
     wide = table.astype(np.int64)
     calls = []
 
-    def recorded(spec, cells, codes=None):
-        rows = neighbor_rows(spec, cells, codes)
+    def recorded(spec, cells):
+        rows = neighbor_rows(spec, cells)
         calls.append((cells, rows))
         return rows
 

@@ -1,9 +1,10 @@
+import math
 import multiprocessing
 
 import numpy as np
 import pytest
 
-from bootperc import dynamics, experiments
+from bootperc import experiments
 from bootperc.experiments import (
     SWEEP_CONSTRUCTIONS,
     SweepRow,
@@ -11,10 +12,10 @@ from bootperc.experiments import (
     verify_separation,
     verify_strip_fill,
 )
-from bootperc.constructions import build_construction, level_set
-from bootperc.dynamics import _infect, run, run_naive
+from bootperc.constructions import build_construction, hyperplane_union, level_set
+from bootperc.dynamics import CellSet, run, run_naive
 from bootperc.extremal import BudgetExceededError
-from bootperc.lattice import LatticeSpec, cell_at
+from bootperc.lattice import LatticeSpec, cell_at, levels, neighbor_rows
 
 
 # -- strip fill ---------------------------------------------------------------
@@ -185,11 +186,12 @@ def test_sweep_cell_budget_above_sys_maxsize():
 
 
 def test_sweep_parallel_matches_serial(monkeypatch):
-    # a small box spreads the lattices over the pool in batches of 5, 2 and 1
-    monkeypatch.setattr(experiments, "_BATCH_CELLS", 2000)
-    assert list(map(len, experiments._batches(3, range(3, 14), 2000))) == [5, 2, 1, 1, 1, 1]
-    serial = sweep_time(3, range(3, 14), "hyperplanes")
-    parallel = sweep_time(3, range(3, 14), "hyperplanes", parallelism=2)
+    # a table of 1,800 entries (300 orbits at d = 3) spreads the lattices
+    # over the pool in batches of 5, 2 and 1
+    monkeypatch.setattr(experiments, "_BATCH_ENTRIES", 1800)
+    assert list(map(len, experiments._batches(3, range(3, 15), 300))) == [5, 2, 1, 1, 1, 1, 1]
+    serial = sweep_time(3, range(3, 15), "hyperplanes")
+    parallel = sweep_time(3, range(3, 15), "hyperplanes", parallelism=2)
     assert serial == parallel
     assert multiprocessing.active_children() == []
 
@@ -205,10 +207,14 @@ def test_sweep_serialization():
     assert set(doc["rows"][0]) == {"n", "T", "percolates", "cells", "within_bound"}
 
 
-# -- batched sweeps --------------------------------------------------------------
+# -- batched sweeps on orbits ---------------------------------------------------
 
 _BATCH_NS = {1: [9, 1, 30, 4, 2, 2, 17, 12, 5], 2: [7, 1, 12, 3, 3, 9, 2], 3: [6, 2, 9, 3, 1, 6, 4],
              4: [4, 1, 6, 2, 3, 3], 5: [3, 1, 4, 2, 2]}
+
+
+def _orbit_count(d, n):
+    return math.comb(n + d - 1, d)
 
 
 def _reference_row(d, n, construction):
@@ -218,73 +224,128 @@ def _reference_row(d, n, construction):
 
 
 @pytest.mark.parametrize(
-    "d, construction, round_cells",
-    [pytest.param(d, c, dynamics._ROUND_CELLS, id=f"{d}-{c}") for d in sorted(_BATCH_NS) for c in SWEEP_CONSTRUCTIONS]
-    + [pytest.param(3, "hyperplanes", 3, id="3-hyperplanes-blocks-of-3")],
+    "d, construction", [pytest.param(d, c, id=f"{d}-{c}") for d in sorted(_BATCH_NS) for c in SWEEP_CONSTRUCTIONS]
 )
-def test_batched_sweep_matches_one_run_per_n(monkeypatch, d, construction, round_cells):
-    # a few of the largest lattices fit one box, so the lists split into
-    # several batches of several lattices, and a lone lattice over the cap;
-    # blocks of three frontier cells split a box's rounds across its slabs
-    monkeypatch.setattr(dynamics, "_ROUND_CELLS", round_cells)
+def test_batched_sweep_matches_one_run_per_n(monkeypatch, d, construction):
+    # twice the orbits of the second largest lattice: the lists split into a
+    # batch of several lattices and lone lattices, from d = 2 one over the cap
     ns = sorted(set(_BATCH_NS[d]))
-    cap = 2 * max(ns) ** d
+    cap = 2 * _orbit_count(d, ns[-2])
     batches = list(experiments._batches(d, ns, cap))
     assert len(batches) > 1 and max(map(len, batches)) > 2
-    monkeypatch.setattr(experiments, "_BATCH_CELLS", cap)
+    monkeypatch.setattr(experiments, "_BATCH_ENTRIES", 2 * d * cap)
     table = sweep_time(d, _BATCH_NS[d], construction)
     reference = [_reference_row(d, n, construction) for n in ns]
     assert table.rows == reference
     assert table.fit == experiments._quadratic_fit(reference)
 
 
+def _cell_orbits(d, n):
+    """Each cell's orbit, by linear index: the colex rank sum_i comb(y_i + i, i + 1)
+    of its sorted 0-based coordinates y."""
+    y = np.sort(np.indices((n,) * d).reshape(d, -1).T, axis=1)
+    return np.array([sum(math.comb(v + i, i + 1) for i, v in enumerate(row)) for row in y.tolist()], dtype=np.intp)
+
+
+def _level_residue_classes(d, n):
+    residues = levels(d, n) % n
+    return [CellSet._from_mask(d, n, residues == a) for a in range(n)]
+
+
+_ORBIT_SIDES = {1: 9, 2: 8, 3: 7, 4: 5, 5: 4}
+
+
+@pytest.mark.parametrize("d", sorted(_ORBIT_SIDES))
+def test_orbit_times_match_the_engine_on_every_cell(d):
+    # every level residue class, the boundary and the empty set, each
+    # threshold around d, all lattices of one n and r in one stacked run;
+    # an orbit's time, read through each cell's sorted coordinates, is the
+    # cell's time in run
+    for n in range(1, _ORBIT_SIDES[d] + 1):
+        seeds = [*_level_residue_classes(d, n), build_construction("boundary", d, n), CellSet(d, n)]
+        orbit_of = _cell_orbits(d, n)
+        assert sorted(set(orbit_of.tolist())) == list(range(_orbit_count(d, n)))
+        for r in sorted({1, d - 1, d, d + 1, 2 * d} - {0}):
+            for seed, times in zip(seeds, experiments._orbit_times(seeds, r), strict=True):
+                expected = run(LatticeSpec(d, n, "grid", r), seed).times_array
+                assert np.array_equal(times[orbit_of], expected), (n, r, seed.cells())
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 6), (2, 5), (3, 4), (4, 3), (5, 3)])
+def test_orbit_rows_are_the_sorted_neighbours(monkeypatch, d, n):
+    # the table's row of each orbit lists the orbits of its representative's
+    # grid neighbours, the orbit itself where the grid has none
+    y = experiments._orbits(d, n)
+    orbit_of = _cell_orbits(d, n)
+    cells = (y * n ** np.arange(d - 1, -1, -1)).sum(axis=1)
+    assert np.array_equal(orbit_of[cells], np.arange(len(y)))
+    rows = np.empty((len(y), 2 * d), dtype=np.int32)
+    experiments._orbit_rows(y, n, rows, 0)
+    assert np.array_equal(rows, orbit_of[neighbor_rows(LatticeSpec(d, n), cells)])
+    # from the middle on, offset: the rows of a stacked lattice built in parts
+    half = len(y) // 2
+    experiments._orbit_rows(y[half:], n, rows[half:], half + 7)
+    assert np.array_equal(rows[half:], orbit_of[neighbor_rows(LatticeSpec(d, n), cells[half:])] + 7)
+    # a lattice over the batch cap: its table built three orbits at a time
+    monkeypatch.setattr(experiments, "_BATCH_ENTRIES", 6 * d)
+    chunked = np.empty_like(rows)
+    experiments._orbit_rows(y, n, chunked, 0)
+    assert np.array_equal(chunked[half:], rows[half:] - 7) and np.array_equal(chunked[:half], rows[:half])
+
+
+def test_orbit_engine_refuses_a_seed_that_a_transposition_changes():
+    # (1, 2, 3) and (2, 1, 3) swap axes 1 and 2, but not axes 2 and 3
+    seed = CellSet.from_cells(3, 3, [(1, 2, 3), (2, 1, 3)])
+    with pytest.raises(ValueError, match=r"^the initial set of \[3\]\^3 is not invariant under permuting the coordinates$"):
+        experiments._orbit_times([hyperplane_union(3, 3), seed], 3)
+    assert len(experiments._orbit_times([CellSet.from_cells(1, 4, [(2,)])], 1)[0]) == 4  # any seed of [n]^1
+
+
+def test_stacked_lattices_run_as_if_alone():
+    # the rows of each lattice stay in its own rank range, so a batch's
+    # lattices never reach each other, whatever their sizes and times
+    # (test_orbit_rows_are_the_sorted_neighbours pins each table's rows)
+    seeds = [build_construction(c, 3, n) for c, n in (("boundary", 3), ("hyperplanes", 8), ("shifted", 5),
+                                                       ("boundary", 1), ("hyperplanes", 6))]
+    stacked = experiments._orbit_times(seeds, 3)
+    alone = [experiments._orbit_times([seed], 3)[0] for seed in seeds]
+    assert [t.tolist() for t in stacked] == [t.tolist() for t in alone]
+
+
 def _spy_on_the_engine(monkeypatch):
-    """Every ``_infect`` call of a sweep, as (box codes, times, counts)."""
+    """The orbit counts of every ``_orbit_times`` call of a sweep, per lattice."""
     calls = []
 
-    def recorded(spec, seeds, codes=None):
-        times, counts, T = _infect(spec, seeds, codes)
-        calls.append((codes, times, counts))
-        return times, counts, T
+    def recorded(initials, r):
+        calls.append([_orbit_count(initial.d, initial.n) for initial in initials])
+        return orbit_times(initials, r)
 
-    monkeypatch.setattr(experiments, "_infect", recorded)
+    orbit_times = experiments._orbit_times
+    monkeypatch.setattr(experiments, "_orbit_times", recorded)
     return calls
 
 
-def test_batch_leaves_the_padding_healthy_and_uncounted(monkeypatch):
-    calls = _spy_on_the_engine(monkeypatch)
-    ns = [3, 5, 6, 8]
-    sweep_time(3, ns, "boundary")
-    ((codes, times, counts),) = calls
-    padding = np.ones((sum(ns), 8, 8), dtype=bool)
-    for start, n in zip(np.cumsum([0, *ns]), ns):
-        padding[start : start + n, :n, :n] = False
-    padding = padding.ravel()
-    assert len(codes) == len(times) == padding.size
-    assert (times[padding] == -1).all() and (counts[padding] == 0).all()
-    assert (times[~padding] >= 0).all()  # every lattice percolates
-
-
 @pytest.mark.parametrize(
-    "d, ns, batch_cells, cell_budget",
-    [(3, range(2, 20), 5000, experiments.DEFAULT_CELL_BUDGET), (3, range(2, 15), None, 3000),
-     (4, range(2, 7), 2000, 1500)],
+    "d, ns, batch_orbits, cell_budget",
+    [(3, range(2, 20), 400, experiments.DEFAULT_CELL_BUDGET), (2, range(2, 51), None, 2500),
+     (4, range(2, 7), 100, 1500)],
 )
-def test_no_batch_box_exceeds_its_cap(monkeypatch, d, ns, batch_cells, cell_budget):
-    if batch_cells is not None:
-        monkeypatch.setattr(experiments, "_BATCH_CELLS", batch_cells)
+def test_no_batch_exceeds_its_orbit_cap(monkeypatch, d, ns, batch_orbits, cell_budget):
+    if batch_orbits is not None:
+        monkeypatch.setattr(experiments, "_BATCH_ENTRIES", 2 * d * batch_orbits)
     calls = _spy_on_the_engine(monkeypatch)
-    cap = min(experiments._BATCH_CELLS, cell_budget)
+    cap = min(experiments._BATCH_ENTRIES // (2 * d), cell_budget)
     table = sweep_time(d, ns, "hyperplanes", cell_budget=cell_budget)
     assert [row.n for row in table.rows] == list(ns)
-    boxes = [len(codes) for codes, _, _ in calls if codes is not None]
-    assert boxes and max(boxes) <= cap
+    # only a lattice alone in its batch goes over the cap
+    assert all(sum(call) <= cap for call in calls if len(call) > 1)
+    assert any(len(call) > 1 for call in calls)
     # the batches cover ns in order, each as large as the cap allows
     batches = list(experiments._batches(d, ns, cap))
     assert [n for batch in batches for n in batch] == list(ns)
-    assert len(calls) == len(batches)
+    assert list(map(len, calls)) == list(map(len, batches))
     for batch, after in zip(batches, batches[1:]):
-        assert (sum(batch) + after[0]) * after[0] ** (d - 1) > cap
+        assert sum(_orbit_count(d, n) for n in batch) + _orbit_count(d, after[0]) > cap
 
 
 def test_huge_range_is_refused_before_any_batch(monkeypatch):

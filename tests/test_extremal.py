@@ -856,6 +856,34 @@ def test_parallel_search_over_many_chunks_matches_serial(monkeypatch, search):
     assert multiprocessing.active_children() == []
 
 
+def test_pool_starts_only_where_the_kernel_has_work(monkeypatch):
+    pools = []
+
+    def recorded(work, calls, parallelism):
+        pools.append(parallelism)
+        return ordered_results(work, calls, parallelism)
+
+    monkeypatch.setattr(extremal, "ordered_results", recorded)
+    # searches that stop at the perimeter floor, each past _POOL_MIN_CELLS
+    # with every candidate charged (126.5 M and 70.1 M candidate cells),
+    # though the bound leaves the kernel a small share of them
+    assert min_percolating_size(LatticeSpec(3, 3), 9, parallelism=2).optimum == 9
+    assert min_percolating_size(LatticeSpec(2, 6), 6, symmetry=True, parallelism=2).optimum == 6
+    assert min_percolation_time(LatticeSpec(2, 6), 6, parallelism=2).optimum == 5
+    assert pools == [1, 1, 1, 1]
+    # a torus has no floor: all 1,947,792 six-sets of the 6-torus run, 70.1 M cells
+    pools.clear()
+    assert 36 * comb(36, 6) >= extremal._POOL_MIN_CELLS
+    assert min_percolation_time(LatticeSpec(2, 6, "torus"), 6, parallelism=2).optimum == 3
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+    # 15,516,804 of the 85,900,584 seven-sets of [7]^2 hold no neighbouring
+    # pair (760 M cells), and 368,868 of the six-sets of [6]^2 (13.3 M)
+    assert extremal._search_parallelism(LatticeSpec(2, 7), [7], 2) == 2
+    assert extremal._search_parallelism(LatticeSpec(2, 6), [6], 2) == 1
+    assert extremal._search_parallelism(LatticeSpec(2, 6, r=1), [6], 2) == 2  # r < d: no floor
+
+
 @pytest.mark.parametrize(
     "search,works",
     [
