@@ -13,9 +13,10 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+# build_construction and run are unused: bound for the benchmark's traced runs, which interpose both here
 from .constructions import SWEEP_CONSTRUCTIONS, build_construction
-from .dynamics import CellSet, ordered_results, run
-from .lattice import BudgetExceededError, LatticeSpec, levels
+from .dynamics import ordered_results, run
+from .lattice import BudgetExceededError, LatticeSpec
 
 # cap on n**d for a single sweep run; large d=5 campaigns must raise it explicitly
 DEFAULT_CELL_BUDGET = 1 << 23
@@ -33,10 +34,22 @@ def verify_strip_fill(d: int, n: int, s: int) -> bool:
     from .witness import StripContext  # imported here: no other campaign reads strips
 
     ctx = StripContext(d, n, s)  # validates the (d, n, s) combination
-    level = levels(d, n)
-    seeds = CellSet._from_mask(d, n, (level == ctx.lower_level) | (level == ctx.upper_level))
-    times = run(LatticeSpec(d, n, "grid", d), seeds).times_array
-    return bool((times[(level > ctx.lower_level) & (level < ctx.upper_level)] >= 0).all())
+    totals, infected = _level_counts(d, n, ctx.lower_level, ctx.upper_level)
+    return totals[ctx.lower_level + 1 : ctx.upper_level] == infected[ctx.lower_level + 1 : ctx.upper_level]
+
+
+def _level_counts(d: int, n: int, low: int, high: int) -> tuple[list[int], list[int]]:
+    """Per level 0..max(high, d*n), the cells of [n]^d and those that one orbit
+    run under r = d infects from levels ``low`` and ``high``."""
+    LatticeSpec(d, n)  # refuses a lattice over MAX_CELLS before any work
+    y = _orbits(d, n)
+    level = _level_sums(y)
+    (times,) = _orbit_times([(n, y, (level == low) | (level == high))], d)
+    sizes = _orbit_sizes(y).astype(np.int64)  # at most MAX_CELLS
+    # the float64 sums of at most 2^31 cells are exact
+    totals = np.bincount(level, sizes, minlength=high + 1)
+    infected = np.bincount(level, np.where(times >= 0, sizes, 0), minlength=high + 1)
+    return totals.astype(np.int64).tolist(), infected.astype(np.int64).tolist()
 
 
 class LevelFill(NamedTuple):
@@ -82,12 +95,7 @@ def verify_separation(d: int, n: int) -> SeparationReport:
     high = low + n + 1
     if high > d * n:
         raise ValueError(f"no valid seed levels: {high} exceeds the top level {d * n}")
-    level = levels(d, n)
-    seeds = CellSet._from_mask(d, n, (level == low) | (level == high))
-    record = run(LatticeSpec(d, n, "grid", d), seeds)
-    totals = np.bincount(level, minlength=high + 1).tolist()
-    infected = np.bincount(level[record.times_array >= 0], minlength=high + 1).tolist()
-
+    totals, infected = _level_counts(d, n, low, high)
     fills = [
         LevelFill(lv, totals[lv], infected[lv], totals[lv] > 0 and lv - low > 1 and high - lv > 1)
         for lv in range(low + 1, high)
@@ -96,8 +104,8 @@ def verify_separation(d: int, n: int) -> SeparationReport:
         d=d,
         n=n,
         seed_levels=(low, high),
-        percolates=record.percolates,
-        holds=not record.percolates and all(f.infected < f.total for f in fills if f.required),
+        percolates=infected == totals,
+        holds=infected != totals and all(f.infected < f.total for f in fills if f.required),
         levels=fills,
     )
 
@@ -153,12 +161,21 @@ def _batches(d: int, ns: Iterable[int], cap: int) -> Iterator[list[int]]:
 
 def _sweep_batch(d: int, ns: list[int], construction: str) -> list[SweepRow]:
     """The rows of the ascending sides ``ns``, from one orbit engine run."""
-    initials = [build_construction(construction, d, n) for n in ns]
+    lattices = [(n, y, _sweep_seed(construction, y, n)) for n in ns for y in [_orbits(d, n)]]
     rows = []
-    for n, initial, times in zip(ns, initials, _orbit_times(initials, d)):
+    for (n, y, seed), times in zip(lattices, _orbit_times(lattices, d)):
         T = max(int(times.max()), 0)  # an empty seed set has T = 0
-        rows.append(SweepRow(n, T, bool(times.min() >= 0), len(initial), T <= (d + 2) * n * n + n))
+        cells = int(_orbit_sizes(y[seed]).sum(dtype=object))  # n**d may pass int64
+        rows.append(SweepRow(n, T, bool(times.min() >= 0), cells, T <= (d + 2) * n * n + n))
     return rows
+
+
+def _sweep_seed(construction: str, y: np.ndarray, n: int) -> np.ndarray:
+    """The orbits of ``y`` in a sweep construction, by the rule that
+    :mod:`bootperc.constructions` evaluates on the index grid."""
+    if construction == "boundary":
+        return (y[:, 0] == 0) | (y[:, -1] == n - 1)
+    return _level_sums(y) % n == (0 if construction == "hyperplanes" else -(n // 2) % n)
 
 
 def _orbits(d: int, n: int) -> np.ndarray:
@@ -174,50 +191,62 @@ def _orbits(d: int, n: int) -> np.ndarray:
     return y
 
 
+def _level_sums(y: np.ndarray) -> np.ndarray:
+    """The int32 level (1-based coordinate sum) of each tuple, by column adds:
+    about ten times faster than a sum along the rows."""
+    return sum(y.T, np.full(len(y), y.shape[1], dtype=np.int32))
+
+
+def _orbit_sizes(y: np.ndarray) -> np.ndarray:
+    """The cell count d! / prod(run length!) of each orbit of ``y``, as the
+    running product size * i // p, the i-th entry being the p-th of its run.
+    Each product is below d * d!: int64 holds it up to d = 19, Python ints after."""
+    size = place = np.ones(len(y), dtype=np.int64 if y.shape[1] < 20 else object)
+    for i in range(1, y.shape[1]):
+        place = np.where(y[:, i] == y[:, i - 1], place + 1, 1)
+        size = size * (i + 1) // place
+    return size
+
+
 def _orbit_rows(y: np.ndarray, n: int, rows: np.ndarray, start: int) -> None:
     """Fill ``rows``, ``_BATCH_ENTRIES`` entries at a time, with ``start`` plus
     the orbit ranks of the 2d grid neighbours of each :func:`_orbits` tuple;
     off the grid, the tuple's own.  With z_i = y_i + i, raising y_a raises
     the last entry p of its run of equal values, so the rank gains comb(z_p,
     p); lowering it lowers the run's first entry q, so the rank loses
-    comb(z_q - 1, q).  Inside a run a column copies its neighbour's."""
+    comb(z_q - 1, q).  Inside a run a column copies its neighbour's.  Only
+    comb(v + a, a) for v < n is read, none above the orbit count."""
     d = y.shape[1]
-    binom = np.array([[comb(m, i) for i in range(d)] for m in range(n + d - 1)], dtype=np.int32)
+    binom = np.array([[comb(v + a, a) for a in range(d)] for v in range(n)], dtype=np.int32)
     chunk = _BATCH_ENTRIES // (2 * d)
     for low in range(0, len(y), chunk):
         part, out = y[low : low + chunk], rows[low : low + chunk]
         rank = np.arange(start + low, start + low + len(part), dtype=np.int32)
         for a in range(d):
             # binom's row -1 is read only where y_a == 0, which takes the rank instead
-            step = np.where(part[:, a] > 0, rank - binom[part[:, a] + (a - 1), a], rank)
+            step = np.where(part[:, a] > 0, rank - binom[part[:, a] - 1, a], rank)
             out[:, 2 * a] = step if a == 0 else np.where(part[:, a] == part[:, a - 1], out[:, 2 * a - 2], step)
         for a in reversed(range(d)):
-            step = np.where(part[:, a] < n - 1, rank + binom[part[:, a] + a, a], rank)
+            step = np.where(part[:, a] < n - 1, rank + binom[part[:, a], a], rank)
             out[:, 2 * a + 1] = step if a == d - 1 else np.where(part[:, a] == part[:, a + 1], out[:, 2 * a + 3], step)
 
 
-def _orbit_times(initials: list[CellSet], r: int) -> list[np.ndarray]:
-    """Per grid run under threshold ``r`` from each of ``initials`` (of one
-    d), the infection round of every orbit of :func:`_orbits`, -1 for never.
+def _orbit_times(lattices: list[tuple[int, np.ndarray, np.ndarray]], r: int) -> list[np.ndarray]:
+    """Per grid run under threshold ``r`` from each of ``lattices``, triples
+    (n, the :func:`_orbits` tuples y of [n]^d for one d, a bool seed mask over
+    y), the infection round of every orbit, -1 for never.
 
-    Every cell of an orbit of an invariant seed has its representative's
-    time; a seed that a transposition of adjacent axes changes is refused.
-    One loop runs the :func:`_orbit_rows` tables stacked with rank offsets.
-    Each round, the healthy orbits in the rows of the last round's, sorted
-    and deduplicated, count their infected entries.
+    A seed of whole orbits is invariant under permuting the coordinates, so
+    each cell has its orbit's time.  One loop runs the :func:`_orbit_rows`
+    tables stacked with rank offsets; each round, the healthy orbits in the
+    last round's rows, deduplicated by sort, count their infected entries.
     """
-    d = initials[0].d
-    ends = np.cumsum([comb(initial.n + d - 1, d) for initial in initials]).tolist()
+    d = lattices[0][1].shape[1]
+    ends = np.cumsum([len(y) for _, y, _ in lattices]).tolist()
     times = np.full(ends[-1], -1, dtype=np.int32)
     rows = np.empty((ends[-1], 2 * d), dtype=np.int32)
-    for initial, start, end in zip(initials, [0, *ends], ends):
-        n = initial.n
-        mask = initial._mask().reshape((n,) * d)
-        if not all(np.array_equal(mask, np.swapaxes(mask, a, a + 1)) for a in range(d - 1)):
-            raise ValueError(f"the initial set of [{n}]^{d} is not invariant under permuting the coordinates")
-        y = _orbits(d, n)
-        times[start:end][mask[tuple(y.T)]] = 0
-        del mask  # the table is built after the mask has gone
+    for (n, y, seed), start, end in zip(lattices, [0, *ends], ends):
+        times[start:end][seed] = 0
         _orbit_rows(y, n, rows[start:end], start)
     frontier, ones, t = np.flatnonzero(times == 0), np.ones(2 * d, dtype=np.uint8), 0
     # on these short arrays take, compress and put cost a quarter to a third

@@ -207,17 +207,31 @@ MUTANTS = [
     ),
     Mutant(
         "orbit-rank-delta-off-by-one", "bootperc/experiments.py",
-        "rank - binom[part[:, a] + (a - 1), a]", "rank - binom[part[:, a] + a, a]",
+        "rank - binom[part[:, a] - 1, a]", "rank - binom[part[:, a], a]",
         ("tests/test_experiments.py::test_orbit_rows_are_the_sorted_neighbours",
          "tests/test_experiments.py::test_orbit_times_match_the_engine_on_every_cell"),
         "CHANGES.md, sweeps on the coordinate-permutation orbits (lowering y_a loses comb(z_q - 1, q))",
     ),
     Mutant(
         "orbit-face-entry-is-a-neighbour", "bootperc/experiments.py",
-        "np.where(part[:, a] > 0,", "np.where(part[:, a] >= 0,",
+        "np.where(part[:, a] > 0, rank", "np.where(part[:, a] >= 0, rank",
         ("tests/test_experiments.py::test_orbit_rows_are_the_sorted_neighbours",
          "tests/test_experiments.py::test_orbit_times_match_the_engine_on_every_cell"),
         "CHANGES.md, sweeps on the coordinate-permutation orbits (the low face of axis 1 reads the orbit ranked before)",
+    ),
+    Mutant(
+        "orbit-size-place-off-by-one", "bootperc/experiments.py",
+        "place + 1, 1)", "place + 2, 1)",
+        ("tests/test_experiments.py::test_orbit_sizes_count_the_cells_of_each_orbit",
+         "tests/test_experiments.py::test_batched_sweep_matches_one_run_per_n"),
+        "CHANGES.md, every campaign on orbit masks (an orbit's size as a running multinomial)",
+    ),
+    Mutant(
+        "shifted-residue-sign-flipped", "bootperc/experiments.py",
+        "else -(n // 2) % n)", "else (n // 2) % n)",
+        ("tests/test_experiments.py::test_sweep_seeds_are_the_constructions_read_on_orbits",
+         "tests/test_experiments.py::test_batched_sweep_matches_one_run_per_n"),
+        "CHANGES.md, every campaign on orbit masks (the shifted union as a residue class of the level)",
     ),
     Mutant(
         "oracle-threshold", "bootperc/dynamics.py",

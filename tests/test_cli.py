@@ -196,7 +196,9 @@ def test_console_main_freezes_the_startup_heap(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv",
     ["simulate --construction hyperplanes --d 5 --n 12 --format text",
-     "sweep --construction hyperplanes --d 3 --n-range 10:20 --format json"],
+     "sweep --construction hyperplanes --d 3 --n-range 10:20 --format json",
+     "verify --check strip-fill --d 3 --n 6 --s 2",
+     "verify --check separation --d 3 --n 6"],
 )
 def test_engine_paths_never_load_numpy_ma(argv):
     # under numpy 2, np.unique asked for no index, inverse or count reads
@@ -557,6 +559,35 @@ def test_sweep_range_longer_than_sys_maxsize(capsys, d, n_range, code, err):
     assert invoke(capsys, "sweep", "--d", d, "--construction", "hyperplanes", f"--n-range={n_range}") == (
         code, "", err
     )
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        # one-cell lattices from d = 35, where a table of every comb(m, i), m < n + d - 1 and i < d, passes int32
+        ("sweep --d 35 --construction hyperplanes --n-range 1:1",
+         "d,construction,n,T,percolates,cells\n35,hyperplanes,1,0,true,1\n"),
+        ("verify --check strip-fill --d 40 --n 1 --s 40", "strip-fill d=40 n=1 s=40: OK\n"),
+        # [2]^23 has 2^23 cells, all on the boundary; 23! is past int64
+        ("sweep --d 23 --construction boundary --n-range 1:2",
+         "d,construction,n,T,percolates,cells\n23,boundary,1,0,true,1\n23,boundary,2,0,true,8388608\n"),
+    ],
+    ids=["sweep-d35", "strip-fill-d40", "sweep-d23"],
+)
+def test_orbit_runs_in_high_dimension(capsys, argv, out):
+    assert invoke(capsys, *argv.split()) == (0, out, "")
+
+
+@pytest.mark.parametrize("check", ["--check separation", "--check strip-fill --s 30"])
+def test_verify_refuses_a_lattice_over_2_31_cells_before_any_work(capsys, monkeypatch, check):
+    from bootperc import experiments
+
+    def refuse(*args):
+        raise AssertionError("the orbits were built")
+
+    monkeypatch.setattr(experiments, "_orbits", refuse)
+    argv = f"verify {check} --d 50 --n 2".split()
+    assert invoke(capsys, *argv) == (2, "", f"error: 2**50 cells exceed the limit of {2**31}\n")
 
 
 def test_verify_strip_fill(capsys):

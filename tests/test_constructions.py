@@ -96,7 +96,9 @@ def test_level_residue_classes_are_smallest_percolating_sets(d, max_n):
         for a, cells in enumerate(classes):
             assert len(cells) == n ** (d - 1), (n, a)
             assert perimeter(spec, cells) == 2 * d * n ** (d - 1), (n, a)
-        times = experiments._orbit_times(classes, d)
+        y = experiments._orbits(d, n)
+        masks = [cells._mask().reshape((n,) * d)[tuple(y.T)] for cells in classes]
+        times = experiments._orbit_times([(n, y, mask) for mask in masks], d)
         assert all(t.min() >= 0 for t in times), n
         T = [int(t.max()) for t in times]
         assert all(T[a] == T[(d - a) % n] for a in range(n)), (n, T)

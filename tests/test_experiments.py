@@ -12,10 +12,11 @@ from bootperc.experiments import (
     verify_separation,
     verify_strip_fill,
 )
-from bootperc.constructions import build_construction, hyperplane_union, level_set
+from bootperc.constructions import build_construction, level_set
 from bootperc.dynamics import CellSet, run, run_naive
 from bootperc.extremal import BudgetExceededError
 from bootperc.lattice import LatticeSpec, cell_at, levels, neighbor_rows
+from bootperc.witness import StripContext
 
 
 # -- strip fill ---------------------------------------------------------------
@@ -34,12 +35,27 @@ def test_strip_fill_rejects_bad_strip_index():
         verify_strip_fill(3, 2, 1)
 
 
+def _strip_reference(d, n, s):
+    """Per level, the cells of [n]^d and those infected by one cell-level run from strip s's hyperplanes."""
+    ctx = StripContext(d, n, s)
+    level = levels(d, n)
+    seeds = CellSet._from_mask(d, n, (level == ctx.lower_level) | (level == ctx.upper_level))
+    times = run(LatticeSpec(d, n), seeds).times_array
+    size = d * n + 1
+    return np.bincount(level, minlength=size).tolist(), np.bincount(level[times >= 0], minlength=size).tolist()
+
+
 def test_strip_fill_small_sweep():
-    # full d<=4, n<=8 sweep runs in the acceptance suite; keep a fast slice here
-    for d in (1, 2, 3):
-        for n in (2, 4, 5):
+    # full d<=4, n<=8 sweep runs in the acceptance suite; keep a fast slice
+    # here, each strip's level counts checked against one cell-level run
+    for d in (1, 2, 3, 4):
+        for n in range(1, 7):
             for s in range(-(-d // n), d + 1):
-                assert verify_strip_fill(d, n, s) is True
+                ctx = StripContext(d, n, s)
+                totals, infected = experiments._level_counts(d, n, ctx.lower_level, ctx.upper_level)
+                assert (totals, infected) == _strip_reference(d, n, s), (d, n, s)
+                inside = slice(ctx.lower_level + 1, ctx.upper_level)
+                assert verify_strip_fill(d, n, s) is (totals[inside] == infected[inside]) is True, (d, n, s)
 
 
 # -- separation ---------------------------------------------------------------
@@ -252,6 +268,14 @@ def _level_residue_classes(d, n):
     return [CellSet._from_mask(d, n, residues == a) for a in range(n)]
 
 
+def _orbit_lattice(seed):
+    """The ``_orbit_times`` triple of a ``CellSet`` invariant under permuting
+    the coordinates: its mask read at the sorted tuples."""
+    d, n = seed.d, seed.n
+    y = experiments._orbits(d, n)
+    return n, y, seed._mask().reshape((n,) * d)[tuple(y.T)]
+
+
 _ORBIT_SIDES = {1: 9, 2: 8, 3: 7, 4: 5, 5: 4}
 
 
@@ -265,8 +289,9 @@ def test_orbit_times_match_the_engine_on_every_cell(d):
         seeds = [*_level_residue_classes(d, n), build_construction("boundary", d, n), CellSet(d, n)]
         orbit_of = _cell_orbits(d, n)
         assert sorted(set(orbit_of.tolist())) == list(range(_orbit_count(d, n)))
+        lattices = [_orbit_lattice(seed) for seed in seeds]
         for r in sorted({1, d - 1, d, d + 1, 2 * d} - {0}):
-            for seed, times in zip(seeds, experiments._orbit_times(seeds, r), strict=True):
+            for seed, times in zip(seeds, experiments._orbit_times(lattices, r), strict=True):
                 expected = run(LatticeSpec(d, n, "grid", r), seed).times_array
                 assert np.array_equal(times[orbit_of], expected), (n, r, seed.cells())
 
@@ -293,22 +318,38 @@ def test_orbit_rows_are_the_sorted_neighbours(monkeypatch, d, n):
     assert np.array_equal(chunked[half:], rows[half:] - 7) and np.array_equal(chunked[:half], rows[:half])
 
 
-def test_orbit_engine_refuses_a_seed_that_a_transposition_changes():
-    # (1, 2, 3) and (2, 1, 3) swap axes 1 and 2, but not axes 2 and 3
-    seed = CellSet.from_cells(3, 3, [(1, 2, 3), (2, 1, 3)])
-    with pytest.raises(ValueError, match=r"^the initial set of \[3\]\^3 is not invariant under permuting the coordinates$"):
-        experiments._orbit_times([hyperplane_union(3, 3), seed], 3)
-    assert len(experiments._orbit_times([CellSet.from_cells(1, 4, [(2,)])], 1)[0]) == 4  # any seed of [n]^1
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_sweep_seeds_are_the_constructions_read_on_orbits(d):
+    for n in range(1, 9):
+        y = experiments._orbits(d, n)
+        for construction in SWEEP_CONSTRUCTIONS:
+            expected = _orbit_lattice(build_construction(construction, d, n))[2]
+            assert np.array_equal(experiments._sweep_seed(construction, y, n), expected), (n, construction)
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 7), (2, 6), (3, 5), (4, 4), (5, 3), (6, 3), (7, 2)])
+def test_orbit_sizes_count_the_cells_of_each_orbit(d, n):
+    sizes = experiments._orbit_sizes(experiments._orbits(d, n))
+    assert np.array_equal(sizes, np.bincount(_cell_orbits(d, n)))
+
+
+def test_orbit_sizes_past_int64():
+    # 30! overflows int64; the orbit of k zeros in [2]^30 holds comb(30, k) cells
+    sizes = experiments._orbit_sizes(experiments._orbits(30, 2))
+    assert sizes.tolist() == [math.comb(30, k) for k in range(30, -1, -1)]
+    # [2]^64 has 2^64 cells, all on the boundary, under a budget that a library caller may raise
+    rows = [sweep_time(64, [2], c, cell_budget=2**64).rows[0] for c in ("hyperplanes", "boundary")]
+    assert [row.cells for row in rows] == [2**63, 2**64]
 
 
 def test_stacked_lattices_run_as_if_alone():
     # the rows of each lattice stay in its own rank range, so a batch's
     # lattices never reach each other, whatever their sizes and times
     # (test_orbit_rows_are_the_sorted_neighbours pins each table's rows)
-    seeds = [build_construction(c, 3, n) for c, n in (("boundary", 3), ("hyperplanes", 8), ("shifted", 5),
-                                                       ("boundary", 1), ("hyperplanes", 6))]
-    stacked = experiments._orbit_times(seeds, 3)
-    alone = [experiments._orbit_times([seed], 3)[0] for seed in seeds]
+    lattices = [_orbit_lattice(build_construction(c, 3, n))
+                for c, n in (("boundary", 3), ("hyperplanes", 8), ("shifted", 5), ("boundary", 1), ("hyperplanes", 6))]
+    stacked = experiments._orbit_times(lattices, 3)
+    alone = [experiments._orbit_times([lattice], 3)[0] for lattice in lattices]
     assert [t.tolist() for t in stacked] == [t.tolist() for t in alone]
 
 
@@ -316,9 +357,9 @@ def _spy_on_the_engine(monkeypatch):
     """The orbit counts of every ``_orbit_times`` call of a sweep, per lattice."""
     calls = []
 
-    def recorded(initials, r):
-        calls.append([_orbit_count(initial.d, initial.n) for initial in initials])
-        return orbit_times(initials, r)
+    def recorded(lattices, r):
+        calls.append([len(y) for _, y, _ in lattices])
+        return orbit_times(lattices, r)
 
     orbit_times = experiments._orbit_times
     monkeypatch.setattr(experiments, "_orbit_times", recorded)
