@@ -45,7 +45,7 @@ def _level_counts(d: int, n: int, low: int, high: int) -> tuple[list[int], list[
     y = _orbits(d, n)
     level = _level_sums(y)
     (times,) = _orbit_times([(n, y, (level == low) | (level == high))], d)
-    sizes = _orbit_sizes(y).astype(np.int64)  # at most MAX_CELLS
+    sizes = _orbit_sizes(y).astype(np.int64, copy=False)  # at most MAX_CELLS
     # the float64 sums of at most 2^31 cells are exact
     totals = np.bincount(level, sizes, minlength=high + 1)
     infected = np.bincount(level, np.where(times >= 0, sizes, 0), minlength=high + 1)
@@ -200,8 +200,8 @@ def _level_sums(y: np.ndarray) -> np.ndarray:
 def _orbit_sizes(y: np.ndarray) -> np.ndarray:
     """The cell count d! / prod(run length!) of each orbit of ``y``, as the
     running product size * i // p, the i-th entry being the p-th of its run.
-    Each product is below d * d!: int64 holds it up to d = 19, Python ints after."""
-    size = place = np.ones(len(y), dtype=np.int64 if y.shape[1] < 20 else object)
+    Each product is at most d!: int64 holds it up to d = 20, Python ints after."""
+    size = place = np.ones(len(y), dtype=np.int64 if y.shape[1] <= 20 else object)
     for i in range(1, y.shape[1]):
         place = np.where(y[:, i] == y[:, i - 1], place + 1, 1)
         size = size * (i + 1) // place
